@@ -16,11 +16,10 @@ materialised … unless they are actually used").
 
 The exchange protocol is **block-at-a-time**: :meth:`Operator.next_block`
 moves up to ``max_n`` keys per call, amortizing interpreter dispatch,
-guard checkpoints and (through the shared :class:`ScanCursors`) B+-tree
-positioning across a whole block.  :meth:`Operator.next_tuple` survives as
-a one-element shim — at ``max_n=1`` every operator follows the exact
-tuple-at-a-time state sequence, which is what predicate evaluation and the
-operator state machine rely on.  Eligible descendant/following steps
+guard checkpoints and (through each step's :class:`ScanCursors`) B+-tree
+positioning across a whole block.  Lazy consumers — predicate evaluation,
+:meth:`Operator.iterate` — pull ``next_block(1)``, which walks the paper's
+one-tuple state sequence.  Eligible descendant/following steps
 additionally *coalesce* a document-ordered context block into disjoint
 byte-range spans before scanning (see :func:`repro.mass.axes.coalesced_spans`).
 
@@ -35,7 +34,6 @@ function library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dataclass_replace
 from enum import Enum
 from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -85,26 +83,6 @@ class OperatorState(Enum):
 DEFAULT_BLOCK_SIZE = 256
 
 
-@dataclass(frozen=True)
-class BlockConfig:
-    """Knobs of the block-at-a-time pipeline.
-
-    ``size`` is the root driver's block size (the engine sizes it from the
-    estimator's OUT cardinality).  ``coalesce`` permits context coalescing
-    on eligible steps; it must only be on when the consumer deduplicates
-    (coalescing collapses the duplicate hits nested contexts produce), so
-    :func:`execute_plan` clears it for non-distinct plans.
-    """
-
-    enabled: bool = True
-    size: int = DEFAULT_BLOCK_SIZE
-    coalesce: bool = True
-
-
-#: The legacy configuration: every call moves one tuple, no coalescing,
-#: no shared cursors.  Operators built without an explicit config get this.
-TUPLE_AT_A_TIME = BlockConfig(enabled=False, size=1, coalesce=False)
-
 #: Axes whose context batches may be coalesced into disjoint spans.
 _COALESCE_AXES = frozenset(
     {Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF, Axis.FOLLOWING}
@@ -138,6 +116,11 @@ class NodeSetValue:
     it cannot be sure), wired up when the path is a bare axis step with no
     predicates.  ``count()`` then never materialises a key — the paper's
     O(log n) counting contract.
+
+    ``distinct`` says the pipeline emits every node once.  A multi-step
+    path does not (nested contexts reach the same node repeatedly), so the
+    consumers whose answer depends on multiplicity — ``count()`` and
+    ``string_values()`` (``sum()``) — drop repeats themselves.
     """
 
     def __init__(
@@ -145,13 +128,22 @@ class NodeSetValue:
         iterate: Callable[[], Iterator[FlexKey]],
         store: MassStore,
         count_fast: "Callable[[], int | None] | None" = None,
+        distinct: bool = True,
     ):
         self._iterate = iterate
         self._store = store
         self._count_fast = count_fast
+        self._distinct = distinct
 
     def keys(self) -> Iterator[FlexKey]:
+        """The raw pipeline emission (may repeat nodes unless distinct)."""
         return self._iterate()
+
+    def _distinct_keys(self) -> Iterator[FlexKey]:
+        """Each node once, lazily, in first-emission order."""
+        if self._distinct:
+            return self._iterate()
+        return _first_occurrences(self._iterate())
 
     def is_empty(self) -> bool:
         for _ in self._iterate():
@@ -163,7 +155,7 @@ class NodeSetValue:
             count = self._count_fast()
             if count is not None:
                 return count
-        return sum(1 for _ in self._iterate())
+        return sum(1 for _ in self._distinct_keys())
 
     def first_key(self) -> FlexKey | None:
         """First node in *document* order (XPath's string() rule)."""
@@ -177,8 +169,17 @@ class NodeSetValue:
         return best
 
     def string_values(self) -> Iterator[str]:
-        for key in self._iterate():
+        for key in self._distinct_keys():
             yield self._store.string_value(key)
+
+
+def _first_occurrences(keys: Iterator[FlexKey]) -> Iterator[FlexKey]:
+    seen: set[bytes] = set()
+    for key in keys:
+        encoded = key.sort_bytes
+        if encoded not in seen:
+            seen.add(encoded)
+            yield key
 
 
 XPathValue = "bool | float | str | NodeSetValue"
@@ -282,15 +283,9 @@ class Operator:
 
     emits_prefix_monotone = False
 
-    def __init__(
-        self,
-        store: MassStore,
-        guard: "QueryGuard | None" = None,
-        block: BlockConfig | None = None,
-    ):
+    def __init__(self, store: MassStore, guard: "QueryGuard | None" = None):
         self.store = store
         self.guard = guard
-        self.block = block if block is not None else TUPLE_AT_A_TIME
         self.state = OperatorState.INITIAL
 
     def reset(self, context: FlexKey | None) -> None:
@@ -305,38 +300,27 @@ class Operator:
         """
         raise NotImplementedError
 
-    def next_tuple(self) -> FlexKey | None:
-        """The next result key, or None once out of tuples.
-
-        A one-element shim over :meth:`next_block`: at ``max_n=1`` every
-        operator follows the exact tuple-at-a-time state sequence, so
-        predicate evaluation and state-machine consumers are unchanged.
-        """
-        if self.guard is not None:
-            self.guard.checkpoint()
-        block = self.next_block(1)
-        return block[0] if block else None
-
     def iterate(self) -> Iterator[FlexKey]:
+        """Lazy one-key-at-a-time pull, for consumers that may stop early
+        (predicates): no more index work happens than the keys taken."""
+        guard = self.guard
         while True:
-            key = self.next_tuple()
-            if key is None:
+            if guard is not None:
+                guard.checkpoint()
+            block = self.next_block(1)
+            if not block:
                 return
-            yield key
-
-    def _drain(self) -> Iterator[FlexKey]:
-        """Drain via blocks when the pipeline is batched, else tuples.
-
-        For operators that materialise an input wholesale (union build,
-        join build/probe) — laziness is already forfeited there, so block
-        pulls are pure dispatch savings.
-        """
-        if not self.block.enabled:
-            return self.iterate()
-        return _drain_blocks(self, max(self.block.size, 2))
+            yield block[0]
 
 
 def _drain_blocks(operator: Operator, size: int) -> Iterator[FlexKey]:
+    """Everything ``operator`` has left, pulled ``size`` keys at a time.
+
+    For operators that materialise an input wholesale (union build, join
+    build/probe) — laziness is already forfeited there, so block pulls are
+    pure dispatch savings.
+    """
+    size = max(size, 2)
     while True:
         block = operator.next_block(size)
         yield from block
@@ -360,19 +344,20 @@ class StepOperator(Operator):
         context_child: "Operator | None",
         predicates: list["CompiledPredicate"],
         guard: "QueryGuard | None" = None,
-        block: BlockConfig | None = None,
+        coalesce: bool = False,
     ):
-        super().__init__(store, guard, block)
+        super().__init__(store, guard)
         self.plan = plan
         self.context_child = context_child
         self.predicates = predicates
+        #: May context blocks be coalesced into disjoint spans?  Only sound
+        #: when the pipeline's consumer deduplicates.
+        self.coalesce = coalesce
         self._leaf_context: FlexKey | None = None
         self._leaf_consumed = False
         self._candidates: Iterator[FlexKey] | None = None
         #: Skip-ahead cursors shared by every scan this step issues.
-        self._cursors = (
-            ScanCursors(store) if self.block.enabled and store.byte_keys else None
-        )
+        self._cursors = ScanCursors(store)
         #: High-water mark of the byte ranges already scanned by coalesced
         #: batches (see :func:`repro.mass.axes.coalesced_spans`).
         self._covered = None
@@ -407,7 +392,10 @@ class StepOperator(Operator):
                 return None
             self._leaf_consumed = True
             return self._leaf_context
-        return self.context_child.next_tuple()
+        if self.guard is not None:
+            self.guard.checkpoint()
+        block = self.context_child.next_block(1)
+        return block[0] if block else None
 
     def _axis_hits(self, context: FlexKey) -> Iterator[FlexKey]:
         for key, _record in self.store.axis(
@@ -427,19 +415,16 @@ class StepOperator(Operator):
     def _batch_ok(self, max_n: int) -> bool:
         """May this call serve a whole context block from coalesced spans?
 
-        Beyond the block-size/knob gates: no predicates (they are
-        per-context, and coalescing drops contexts), a coalescible axis,
-        and a prefix-monotone context stream (the coverage rule's
-        soundness condition).  DESCENDANT_OR_SELF additionally needs an
-        index-resolvable test: its self hits for attribute contexts come
-        from a record fetch, which only the tuple path performs.
+        Beyond the block-size gate (a lazy one-key pull must do one
+        context's work, not a block's) and the dedup gate: no predicates
+        (they are per-context, and coalescing drops contexts), a
+        coalescible axis, and a prefix-monotone context stream (the
+        coverage rule's soundness condition).  DESCENDANT_OR_SELF
+        additionally needs an index-resolvable test: its self hits for
+        attribute contexts come from a record fetch, which only the
+        per-context path performs.
         """
-        if (
-            max_n <= 1
-            or self._cursors is None
-            or not self.block.coalesce
-            or self.predicates
-        ):
+        if max_n <= 1 or not self.coalesce or self.predicates:
             return False
         if self.context_child is not None and not self.context_child.emits_prefix_monotone:
             return False
@@ -518,9 +503,8 @@ class ValueStepOperator(Operator):
         predicates: list["CompiledPredicate"],
         text_only: bool = True,
         guard: "QueryGuard | None" = None,
-        block: BlockConfig | None = None,
     ):
-        super().__init__(store, guard, block)
+        super().__init__(store, guard)
         self.value = value
         self.text_only = text_only
         self.predicates = predicates
@@ -568,10 +552,11 @@ class UnionOperator(Operator):
         store: MassStore,
         branches: list[Operator],
         guard: "QueryGuard | None" = None,
-        block: BlockConfig | None = None,
+        block_size: int = DEFAULT_BLOCK_SIZE,
     ):
-        super().__init__(store, guard, block)
+        super().__init__(store, guard)
         self.branches = branches
+        self.block_size = block_size
         self._result: Iterator[FlexKey] | None = None
 
     def reset(self, context: FlexKey | None) -> None:
@@ -589,7 +574,7 @@ class UnionOperator(Operator):
             self.state = OperatorState.FETCHING
             merged: dict[bytes, FlexKey] = {}
             for branch in self.branches:
-                for key in branch._drain():
+                for key in _drain_blocks(branch, self.block_size):
                     merged.setdefault(key.sort_bytes, key)
             self._result = iter(
                 [merged[encoded] for encoded in sorted(merged)]
@@ -619,12 +604,13 @@ class JoinOperator(Operator):
         right: Operator,
         condition: str,
         guard: "QueryGuard | None" = None,
-        block: BlockConfig | None = None,
+        block_size: int = DEFAULT_BLOCK_SIZE,
     ):
-        super().__init__(store, guard, block)
+        super().__init__(store, guard)
         self.left = left
         self.right = right
         self.condition = condition
+        self.block_size = block_size
         self._result: Iterator[FlexKey] | None = None
 
     def reset(self, context: FlexKey | None) -> None:
@@ -634,22 +620,23 @@ class JoinOperator(Operator):
         self.right.reset(context)
 
     def _matches(self) -> Iterator[FlexKey]:
-        left_keys = list(self.left._drain())
+        left_keys = list(_drain_blocks(self.left, self.block_size))
+        right_keys = _drain_blocks(self.right, self.block_size)
         if self.condition == "value-eq":
             build = {self.store.string_value(key) for key in left_keys}
-            for key in self.right._drain():
+            for key in right_keys:
                 if self.store.string_value(key) in build:
                     yield key
         elif self.condition == "ancestor":
             build = {key.sort_bytes for key in left_keys}
-            for key in self.right._drain():
+            for key in right_keys:
                 if any(ancestor.sort_bytes in build for ancestor in key.ancestors()):
                     yield key
         else:  # precedes
             if not left_keys:
                 return
             earliest = min(left_keys)
-            for key in self.right._drain():
+            for key in right_keys:
                 if earliest < key and not earliest.is_ancestor_of(key):
                     yield key
 
@@ -675,9 +662,8 @@ class RootOperator(Operator):
         store: MassStore,
         child: Operator | None,
         guard: "QueryGuard | None" = None,
-        block: BlockConfig | None = None,
     ):
-        super().__init__(store, guard, block)
+        super().__init__(store, guard)
         self.child = child
         self.emits_prefix_monotone = (
             child is None or child.emits_prefix_monotone
@@ -805,17 +791,28 @@ def _no_last() -> int:
 
 
 class ExpressionEvaluator:
-    """Evaluates predicate-expression trees against an :class:`EvalContext`."""
+    """Evaluates predicate-expression trees against an :class:`EvalContext`.
+
+    ``block_size`` and ``coalesce`` are the pipeline settings the sub-plans
+    it builds for path expressions run under — those of the enclosing plan
+    when there is one (:func:`execute_plan` coalesces exactly when the plan
+    root deduplicates).
+    """
 
     def __init__(
         self,
         store: MassStore,
         guard: "QueryGuard | None" = None,
-        block: BlockConfig | None = None,
+        block_size: int = DEFAULT_BLOCK_SIZE,
+        coalesce: bool = False,
     ):
         self.store = store
         self.guard = guard
-        self.block = block if block is not None else TUPLE_AT_A_TIME
+        self.block_size = block_size
+        self.coalesce = coalesce
+        #: One operator tree per predicate path, re-armed per candidate, so
+        #: its cursors resume across the candidates of the enclosing step.
+        self._operators: dict[PlanNode, Operator] = {}
 
     # -- dispatch -----------------------------------------------------------
 
@@ -839,7 +836,10 @@ class ExpressionEvaluator:
     # -- node sets ------------------------------------------------------------
 
     def _node_set(self, path: PlanNode, context: EvalContext) -> NodeSetValue:
-        operator = build_operators(self.store, path, self, guard=self.guard)
+        operator = self._operators.get(path)
+        if operator is None:
+            operator = build_operators(self.store, path, self)
+            self._operators[path] = operator
         key = context.key
 
         def iterate() -> Iterator[FlexKey]:
@@ -859,7 +859,10 @@ class ExpressionEvaluator:
             def count_fast() -> int | None:
                 return axis_count_exact(store, key, axis, test)
 
-        return NodeSetValue(iterate, self.store, count_fast)
+        # Only a step fed by another step can reach a node twice: a lone
+        # step scans one context, and the other operators emit distinct.
+        distinct = not isinstance(path, StepNode) or path.context_child is None
+        return NodeSetValue(iterate, self.store, count_fast, distinct)
 
     # -- binary operators --------------------------------------------------------
 
@@ -1132,38 +1135,33 @@ def build_operators(
     store: MassStore,
     node: PlanNode,
     evaluator: "ExpressionEvaluator | None" = None,
-    guard: "QueryGuard | None" = None,
-    block: BlockConfig | None = None,
 ) -> Operator:
     """Instantiate the runtime operator tree for a plan subtree.
 
-    The same ``guard`` threads into every operator and into the predicate
-    evaluator, so nested predicate sub-plans are governed too; likewise
-    the :class:`BlockConfig` (absent = tuple-at-a-time, the legacy mode).
+    The ``evaluator`` carries the query's guard and pipeline settings; the
+    same one threads into every operator and every predicate, so nested
+    predicate sub-plans are governed and sized like the plan around them.
     """
     if evaluator is None:
-        evaluator = ExpressionEvaluator(store, guard, block)
-    if block is None:
-        block = evaluator.block
+        evaluator = ExpressionEvaluator(store)
+    guard = evaluator.guard
     predicates = [CompiledPredicate(expr, evaluator) for expr in node.predicates]
     if isinstance(node, RootNode):
         child = (
-            build_operators(store, node.context_child, evaluator, guard, block)
+            build_operators(store, node.context_child, evaluator)
             if node.context_child is not None
             else None
         )
-        return RootOperator(store, child, guard, block)
+        return RootOperator(store, child, guard)
     if isinstance(node, StepNode):
         child = (
-            build_operators(store, node.context_child, evaluator, guard, block)
+            build_operators(store, node.context_child, evaluator)
             if node.context_child is not None
             else None
         )
-        return StepOperator(store, node, child, predicates, guard, block)
+        return StepOperator(store, node, child, predicates, guard, evaluator.coalesce)
     if isinstance(node, ValueStepNode):
-        return ValueStepOperator(
-            store, node.value, predicates, node.text_only, guard, block
-        )
+        return ValueStepOperator(store, node.value, predicates, node.text_only, guard)
     if isinstance(node, FusedPathScanNode):
         if node.context_child is not None:
             raise PlanError("a fused path scan must be a context-path leaf")
@@ -1171,17 +1169,18 @@ def build_operators(
         # Operator protocol, so a top-level import would be circular.
         from repro.algebra.fused import FusedPathScanOperator
 
-        return FusedPathScanOperator(store, node, predicates, guard, block)
+        return FusedPathScanOperator(store, node, predicates, guard)
     if isinstance(node, UnionNode):
         branches = [
-            build_operators(store, branch, evaluator, guard, block)
-            for branch in node.branches
+            build_operators(store, branch, evaluator) for branch in node.branches
         ]
-        return UnionOperator(store, branches, guard, block)
+        return UnionOperator(store, branches, guard, evaluator.block_size)
     if isinstance(node, JoinNode):
-        left = build_operators(store, node.left, evaluator, guard, block)
-        right = build_operators(store, node.right, evaluator, guard, block)
-        return JoinOperator(store, left, right, node.condition, guard, block)
+        left = build_operators(store, node.left, evaluator)
+        right = build_operators(store, node.right, evaluator)
+        return JoinOperator(
+            store, left, right, node.condition, guard, evaluator.block_size
+        )
     raise PlanError(f"cannot execute plan node {type(node).__name__}")
 
 
@@ -1190,7 +1189,7 @@ def execute_plan(
     store: MassStore,
     context: FlexKey | None = None,
     guard: "QueryGuard | None" = None,
-    block: BlockConfig | None = None,
+    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> Iterator[FlexKey]:
     """Run a plan, yielding result keys in pipeline order.
 
@@ -1198,28 +1197,19 @@ def execute_plan(
     setting of context" for the leaf operator of the context path.  An
     XQuery host would pass other context keys here.  A ``guard`` binds to
     the store (page-budget baseline, deadline start) and tallies every
-    emitted tuple against the result cap.  ``block`` selects the batched
-    pipeline (None = tuple-at-a-time); context coalescing is withheld from
-    plans that do not deduplicate their output, because coalescing
-    collapses the duplicate hits nested contexts produce.
+    emitted tuple against the result cap.  ``block_size`` is how many keys
+    the root driver pulls per call (the engine sizes it from the cost
+    estimator).  Context coalescing is withheld from plans that do not
+    deduplicate their output, because coalescing collapses the duplicate
+    hits nested contexts produce.
     """
-    if block is not None and block.coalesce and not plan.root.distinct:
-        block = dataclass_replace(block, coalesce=False)
-    operator = build_operators(store, plan.root, guard=guard, block=block)
+    block_size = max(1, block_size)
+    evaluator = ExpressionEvaluator(store, guard, block_size, plan.root.distinct)
+    operator = build_operators(store, plan.root, evaluator)
     if guard is not None:
         guard.bind(store)
     operator.reset(context if context is not None else FlexKey.document())
-    if block is not None and block.enabled and block.size > 1:
-        return _block_iterate(operator, block.size, guard)
-    if guard is None:
-        return operator.iterate()
-    return _governed_iterate(operator, guard)
-
-
-def _governed_iterate(operator: Operator, guard: "QueryGuard") -> Iterator[FlexKey]:
-    for key in operator.iterate():
-        guard.tally_result()
-        yield key
+    return _block_iterate(operator, block_size, guard)
 
 
 def _block_iterate(

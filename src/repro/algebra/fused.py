@@ -39,12 +39,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.guard import QueryGuard
 
 from repro.errors import PlanError
-from repro.mass.axes import ScanCursors, _subtree_range, _subtree_top
+from repro.mass.axes import ScanCursors, _subtree_range
 from repro.mass.flexkey import FlexKey
 from repro.mass.records import NodeKind, NodeRecord
 from repro.mass.store import MassStore
 from repro.model import Axis, NodeTest, NodeTestKind
-from repro.algebra.execution import BlockConfig, Operator, OperatorState
+from repro.algebra.execution import Operator, OperatorState
 from repro.algebra.plan import FusedPathScanNode
 
 #: Guard-checkpoint cadence of the fused scan, in processed index entries.
@@ -229,13 +229,12 @@ class FusedPathScanOperator(Operator):
         plan: FusedPathScanNode,
         predicates: list,
         guard: "QueryGuard | None" = None,
-        block: BlockConfig | None = None,
     ):
-        super().__init__(store, guard, block)
+        super().__init__(store, guard)
         self.plan = plan
         self.predicates = predicates
         self.automaton = compile_steps(plan.steps)
-        self._cursors = ScanCursors(store) if store.byte_keys else None
+        self._cursors = ScanCursors(store)
         self._candidates: Iterator[FlexKey] | None = None
         self._context: FlexKey | None = None
 
@@ -262,13 +261,6 @@ class FusedPathScanOperator(Operator):
 
     # -- the one-pass simulation ---------------------------------------------
 
-    def _node_records(self, lo, hi, inclusive_lo: bool) -> Iterator[NodeRecord]:
-        if self._cursors is not None:
-            return self.store.node_index.scan_cursor(
-                self._cursors.node_cursor(), lo, hi, inclusive_lo=inclusive_lo
-            )
-        return self.store.node_index.scan(lo, hi, inclusive_lo=inclusive_lo)
-
     def _fused_scan(self, context: FlexKey) -> Iterator[FlexKey]:
         """Simulate the automaton over one document-order subtree scan.
 
@@ -278,9 +270,9 @@ class FusedPathScanOperator(Operator):
         entry of the context subtree, and at that trip count Python
         attribute lookups and method calls are the dominant cost.
         """
-        store = self.store
-        byte_keys = store.byte_keys
         guard = self.guard
+        scan = self.store.node_index.scan_cursor
+        node_cursor = self._cursors.node_cursor()
         auto = self.automaton
         accept = auto.accept
         child_mask = auto.child_mask
@@ -297,12 +289,7 @@ class FusedPathScanOperator(Operator):
         comment_kind = NodeKind.COMMENT
         pi_kind = NodeKind.PROCESSING_INSTRUCTION
 
-        record = (
-            self._cursors.fetch(context)
-            if self._cursors is not None
-            else store.fetch(context)
-        )
-        states = auto.start(record)
+        states = auto.start(self._cursors.fetch(context))
         if states & accept:
             yield context
         feed_desc = states & desc_mask
@@ -310,21 +297,21 @@ class FusedPathScanOperator(Operator):
             return  # no transition can ever fire below this context
         stack: list[tuple[int, int, int]] = [(context.depth, states, feed_desc)]
 
-        lo, hi = _subtree_range(store, context)
+        lo, hi = _subtree_range(context)
         inclusive = False
         dead_hi = None  # exclusive top of the dead subtree being skipped
         dead_run = 0
         since_checkpoint = 0
         while True:
             seek_to = None
-            for record in self._node_records(lo, hi, inclusive):
+            for record in scan(node_cursor, lo, hi, inclusive_lo=inclusive):
                 since_checkpoint += 1
                 if guard is not None and since_checkpoint >= _CHECKPOINT_EVERY:
                     guard.checkpoint()
                     since_checkpoint = 0
                 key = record.key
                 if dead_hi is not None:
-                    if (key.sort_bytes if byte_keys else key) < dead_hi:
+                    if key.sort_bytes < dead_hi:
                         dead_run += 1
                         if dead_run >= _SKIP_SEEK_AFTER:
                             seek_to = dead_hi
@@ -364,7 +351,7 @@ class FusedPathScanOperator(Operator):
                     if (states & child_mask) | feed_desc:
                         stack.append((depth, states, feed_desc))
                     else:
-                        dead_hi = _subtree_top(store, key)
+                        dead_hi = key.subtree_upper_bound_bytes()
                         dead_run = 0
             if seek_to is None:
                 return

@@ -7,8 +7,8 @@ module under ``src/repro`` and enforces them.  The rules live in one
 module per family:
 
 :mod:`~repro.analysis.lint.guards`
-    ``VAM001`` **guard checkpoint** — every ``next_tuple`` and
-    ``next_block`` implementation must call ``.checkpoint()`` before its
+    ``VAM001`` **guard checkpoint** — every ``next_block``
+    implementation must call ``.checkpoint()`` before its
     first ``return`` or ``yield``, and every operator scan generator must
     bound the stretch between checkpoints by an integer cadence ≤ 64.
     ``VAM002`` **no swallowed interrupts** — an ``except Exception``

@@ -90,7 +90,7 @@ def _is_operator_class(node: ast.ClassDef) -> bool:
         return True
     return any(
         isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and item.name in ("next_tuple", "next_block")
+        and item.name == "next_block"
         for item in node.body
     )
 

@@ -33,13 +33,13 @@ WALL_CLOCK_ATTRS = frozenset({"time", "monotonic", "perf_counter", "process_time
 MAX_CHECKPOINT_CADENCE = 64
 
 
-# -- VAM001: guard checkpoint in next_tuple / next_block -----------------------
+# -- VAM001: guard checkpoint in next_block ------------------------------------
 
 
 def _check_guard_checkpoint(path: str, tree: ast.AST) -> list[LintViolation]:
     violations: list[LintViolation] = []
     for func in _function_defs(tree):
-        if func.name not in ("next_tuple", "next_block"):
+        if func.name != "next_block":
             continue
         first_emit: int | None = None
         first_checkpoint: int | None = None

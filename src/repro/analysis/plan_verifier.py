@@ -18,7 +18,7 @@ Two layers:
   whether the step is *statically empty* (its axis can never deliver a
   node satisfying its node test), and whether *guard threading* is
   guaranteed (the node maps to a runtime operator known to checkpoint the
-  :class:`~repro.resilience.QueryGuard` in ``next_tuple``/``next_block``).
+  :class:`~repro.resilience.QueryGuard` in ``next_block``).
 * **Structural invariants** (:meth:`PlanVerifier.verify`): the plan is a
   tree (no aliasing, no cycles), rooted at a :class:`RootNode`, operator
   ids are unique after cleanup (no dangling duplicates), child arity is
@@ -65,8 +65,8 @@ DOCUMENT_ORDER = "document"
 REVERSE_ORDER = "reverse"
 UNORDERED = "unordered"
 
-#: Plan-node types with a known runtime operator whose ``next_tuple`` /
-#: ``next_block`` checkpoint the query guard (enforced by the repo linter).
+#: Plan-node types with a known runtime operator whose ``next_block``
+#: checkpoints the query guard (enforced by the repo linter).
 _GUARDED_NODE_TYPES = (
     RootNode,
     StepNode,

@@ -13,9 +13,9 @@ Four cooperating parts:
   every XMark-vocabulary document up to a node budget (bounded model
   checking), plus seeded random documents beyond the bound;
 * :mod:`repro.analysis.tv.oracle` — the differential harness: a rewrite's
-  pre- and post-plans run through both execution modes (tuple-at-a-time
-  and batched) and are cross-checked against the DOM baseline, comparing
-  ordered FLEX-key sequences;
+  pre- and post-plans run through the pipeline at a small block size and
+  are cross-checked against the DOM baseline, comparing ordered FLEX-key
+  sequences;
 * :mod:`repro.analysis.tv.shrinker` — delta debugging: a failing
   (document, query, rule) triple is minimized to a smallest reproducer
   and emitted as a pytest-ready fixture;
@@ -43,7 +43,7 @@ from repro.analysis.tv.oracle import (
     DifferentialOracle,
     dom_key_map,
     dom_reference,
-    evaluate_modes,
+    evaluate_plan,
 )
 from repro.analysis.tv.runner import VerifyReport, verify_rules
 from repro.analysis.tv.shrinker import Reproducer, count_nodes, shrink_document
@@ -60,7 +60,7 @@ __all__ = [
     "dom_key_map",
     "dom_reference",
     "enumerate_documents",
-    "evaluate_modes",
+    "evaluate_plan",
     "random_documents",
     "shrink_document",
     "soundness_violations",

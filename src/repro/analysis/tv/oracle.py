@@ -3,10 +3,9 @@
 For a candidate rewrite ``before -> after`` of one expression, the oracle
 computes the result node-set
 
-* of the **before** plan and the **after** plan,
-* through the **tuple-at-a-time** pipeline *and* the **batched** one
-  (:mod:`repro.algebra.execution` shares no code between the two inner
-  loops, so a rewrite can be correct in one mode and wrong in the other),
+* of the **before** plan and the **after** plan, through the pipeline at
+  a block size small enough that even the tiny enumerated documents cross
+  block boundaries,
 * and, independently of the whole index stack, through the naive
   :class:`~repro.baselines.dom_engine.DomTraversalEngine` reference.
 
@@ -32,24 +31,13 @@ from repro.mass.flexkey import FlexKey
 from repro.mass.store import MassStore
 from repro.baselines.dom_engine import DomTraversalEngine
 from repro.baselines.profiles import JAXEN_PROFILE
-from repro.algebra.execution import (
-    BlockConfig,
-    TUPLE_AT_A_TIME,
-    dedup_document_order,
-    execute_plan,
-)
+from repro.algebra.execution import dedup_document_order, execute_plan
 from repro.algebra.plan import QueryPlan
 from repro.xmlkit.dom import DomDocument
 
-#: A deliberately small block so the batched pipeline genuinely blocks
-#: (multiple fills per query) even on the tiny enumerated documents.
-_BATCHED = BlockConfig(enabled=True, size=4, coalesce=True)
-
-#: Execution modes an obligation must agree across.
-MODES: tuple[tuple[str, BlockConfig], ...] = (
-    ("tuple", TUPLE_AT_A_TIME),
-    ("batched", _BATCHED),
-)
+#: A deliberately small block so the pipeline genuinely blocks (multiple
+#: fills per query) even on the tiny enumerated documents.
+ORACLE_BLOCK_SIZE = 4
 
 
 def dom_key_map(document: DomDocument) -> dict[int, FlexKey]:
@@ -75,20 +63,15 @@ def dom_key_map(document: DomDocument) -> dict[int, FlexKey]:
     return mapping
 
 
-def evaluate_modes(
-    plan: QueryPlan, store: MassStore
-) -> dict[str, list[FlexKey]]:
-    """The plan's final result per execution mode.
+def evaluate_plan(plan: QueryPlan, store: MassStore) -> list[FlexKey]:
+    """The plan's final result at the oracle's block size.
 
     Applies the engine's output discipline: distinct plans dedup and sort
     (as :meth:`VamanaEngine.execute` does), non-distinct plans keep the
     raw emission sequence.
     """
-    results: dict[str, list[FlexKey]] = {}
-    for mode, block in MODES:
-        raw = list(execute_plan(plan, store, block=block))
-        results[mode] = dedup_document_order(raw) if plan.root.distinct else raw
-    return results
+    raw = list(execute_plan(plan, store, block_size=ORACLE_BLOCK_SIZE))
+    return dedup_document_order(raw) if plan.root.distinct else raw
 
 
 def dom_reference(
@@ -136,9 +119,9 @@ class DifferentialOracle:
     obligation, anything else is a counterexample description.
 
     Without a DOM (``document=None``) the oracle still cross-checks the
-    two plans and the two execution modes; with one, both plans must also
-    match the naive reference.  DOM checks are skipped (not failed) for
-    expressions outside the baseline's feature set.
+    two plans; with one, both plans must also match the naive reference.
+    DOM checks are skipped (not failed) for expressions outside the
+    baseline's feature set.
     """
 
     store: MassStore
@@ -165,23 +148,17 @@ class DifferentialOracle:
         plan: QueryPlan,
         label: str,
         reference: list[FlexKey] | None,
-    ) -> tuple[dict[str, list[FlexKey]], list[str]]:
-        """Run one plan in every mode; cross-check modes and the DOM."""
+    ) -> tuple[list[FlexKey], list[str]]:
+        """Run one plan; cross-check its result against the DOM."""
         problems: list[str] = []
-        results = evaluate_modes(plan, self.store)
-        mismatch = compare_sequences(
-            f"{label} plan: tuple vs batched pipeline", results["tuple"],
-            results["batched"],
-        )
-        if mismatch:
-            problems.append(mismatch)
+        result = evaluate_plan(plan, self.store)
         if reference is not None and plan.root.distinct:
             mismatch = compare_sequences(
-                f"{label} plan vs DOM baseline", results["tuple"], reference
+                f"{label} plan vs DOM baseline", result, reference
             )
             if mismatch:
                 problems.append(mismatch)
-        return results, problems
+        return result, problems
 
     # -- the PlanVerifier contract ------------------------------------------
 
@@ -191,14 +168,13 @@ class DifferentialOracle:
         """Counterexample descriptions; empty = obligation discharged."""
         expression = before.expression or after.expression
         reference = self.reference(expression) if expression else None
-        before_results, problems = self.check_plan(before, "pre-rewrite", reference)
-        after_results, after_problems = self.check_plan(
+        before_result, problems = self.check_plan(before, "pre-rewrite", reference)
+        after_result, after_problems = self.check_plan(
             after, "post-rewrite", reference
         )
         problems.extend(after_problems)
         mismatch = compare_sequences(
-            f"rewrite {rule or '?'}: pre vs post result",
-            before_results["tuple"], after_results["tuple"],
+            f"rewrite {rule or '?'}: pre vs post result", before_result, after_result
         )
         if mismatch:
             problems.append(mismatch)

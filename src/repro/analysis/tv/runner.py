@@ -4,10 +4,10 @@ For every rewrite rule it builds the rule's *obligations*: each query in
 the rule's pool is compiled to a cleaned default plan, the rule is
 applied at **every** matching operator (not just the optimizer's pick),
 and each (before, after) pair must produce identical ordered FLEX-key
-sequences — tuple and batched pipelines, cross-checked against the DOM
-baseline — on **every** document of the corpus.  The corpus is the
-exhaustive bounded enumeration of :mod:`repro.analysis.tv.documents`
-plus seeded random documents beyond the bound.
+sequences — cross-checked against the DOM baseline — on **every**
+document of the corpus.  The corpus is the exhaustive bounded enumeration
+of :mod:`repro.analysis.tv.documents` plus seeded random documents beyond
+the bound.
 
 Plans are store-independent, so obligations are built once and executed
 per document; each document's store, DOM and key map are shared across
@@ -257,21 +257,21 @@ def check_document(
         cached = by_expression.get(obligation.expression)
         if cached is None:
             reference = oracle.reference(obligation.expression)
-            before_results, before_problems = oracle.check_plan(
+            before_result, before_problems = oracle.check_plan(
                 obligation.before, "pre-rewrite", reference
             )
-            cached = (reference, before_results, before_problems)
+            cached = (reference, before_result, before_problems)
             by_expression[obligation.expression] = cached
-        reference, before_results, problems = cached
+        reference, before_result, problems = cached
         problems = list(problems)
-        after_results, after_problems = oracle.check_plan(
+        after_result, after_problems = oracle.check_plan(
             obligation.after, "post-rewrite", reference
         )
         problems.extend(after_problems)
         mismatch = compare_sequences(
             f"rewrite {obligation.rule}: pre vs post result",
-            before_results["tuple"],
-            after_results["tuple"],
+            before_result,
+            after_result,
         )
         if mismatch:
             problems.append(mismatch)

@@ -28,6 +28,15 @@ from repro.xmlkit.dom import DomDocument, build_dom
 #: The paper's document-size axis (Figures 12-16), in megabytes.
 PAPER_SIZES_MB = (1, 2, 5, 10, 20, 30)
 
+#: The paper's five benchmark queries (Section VIII).
+PAPER_QUERIES = {
+    "Q1": "//person/address",
+    "Q2": "//watches/watch/ancestor::person",
+    "Q3": "/descendant::name/parent::*/self::person/address",
+    "Q4": "//itemref/following-sibling::price/parent::*",
+    "Q5": "//province[text()='Vermont']/ancestor::person",
+}
+
 _MB = 1024 * 1024
 
 

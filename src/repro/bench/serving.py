@@ -19,8 +19,7 @@ criterion — checked into the report as ``criteria`` — is that the
 8-client p99 stays within 3x the 1-client p99 on Q1-Q5.
 
 Entry points: :func:`run_serving_bench` (returns the report dict) and
-``repro bench-serving`` / ``benchmarks/serving.py`` (write
-``BENCH_serving.json``).
+``repro bench-serving`` (writes ``BENCH_serving.json``).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import random
 import threading
 import time
 
-from repro.bench.hotpath import PAPER_QUERIES
+from repro.bench.corpus import PAPER_QUERIES
 from repro.cost.estimator import plan_cost
 from repro.engine.engine import VamanaEngine
 from repro.errors import ReproError, ServerOverloadedError

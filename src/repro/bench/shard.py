@@ -37,7 +37,7 @@ import shutil
 import tempfile
 import time
 
-from repro.bench.hotpath import PAPER_QUERIES
+from repro.bench.corpus import PAPER_QUERIES
 from repro.mass.loader import load_xml
 from repro.sharding import ShardedDatabase, build_shards
 from repro.xmark.generator import generate_document

@@ -16,11 +16,9 @@ Commands:
   directory, verify every per-shard store and summarize the fleet,
 * ``verify-rules`` — translation validation of the rewrite-rule library:
   every rule is applied at every matching site of its query pool and the
-  pre/post plans are executed (tuple and batched) over an exhaustively
-  enumerated document corpus, cross-checked against the DOM baseline,
-  plus the estimator-soundness pass on Q1-Q5 (exit 1 on any failure),
-* ``bench-hotpath`` — run the hot-path microbenchmarks (byte-encoded vs
-  tuple-compared keys) and write ``BENCH_hotpath.json``,
+  pre/post plans are executed over an exhaustively enumerated document
+  corpus, cross-checked against the DOM baseline, plus the
+  estimator-soundness pass on Q1-Q5 (exit 1 on any failure),
 * ``serve``    — run the concurrent query server over a document: a
   line-protocol TCP front end (one XPath or JSON request per line, one
   JSON response per line) over the snapshot-isolated worker pool,
@@ -211,30 +209,6 @@ def _cmd_verify_rules(args: argparse.Namespace) -> int:
             failure.reproducer.write(path)
             print(f"wrote {path}", file=sys.stderr)
     return 0 if report.ok else 1
-
-
-def _cmd_bench_hotpath(args: argparse.Namespace) -> int:
-    from repro.bench.hotpath import run_hotpath_bench, summarize, write_report
-
-    sizes = None
-    if args.sizes:
-        try:
-            sizes = tuple(float(part) for part in args.sizes.split(",") if part.strip())
-        except ValueError:
-            print(f"error: --sizes expects comma-separated numbers, got {args.sizes!r}", file=sys.stderr)
-            return 2
-        if not sizes or any(size <= 0 for size in sizes):
-            print(f"error: --sizes values must be positive, got {args.sizes!r}", file=sys.stderr)
-            return 2
-    started = time.perf_counter()
-    report = run_hotpath_bench(
-        quick=args.quick, sizes_mb=sizes, repeats=args.repeats, seed=args.seed
-    )
-    elapsed = time.perf_counter() - started
-    write_report(report, args.output)
-    print(summarize(report))
-    print(f"-- wrote {args.output} in {elapsed:.2f}s", file=sys.stderr)
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -523,20 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--fixtures", metavar="DIR", default=None,
                         help="write shrunk reproducers as JSON into DIR")
     verify.set_defaults(handler=_cmd_verify_rules)
-
-    bench = commands.add_parser(
-        "bench-hotpath",
-        help="run the hot-path microbenchmarks and write BENCH_hotpath.json",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="tiny corpus, one repeat — finishes in <1s")
-    bench.add_argument("--sizes", default=None,
-                       help="comma-separated nominal sizes in MB (e.g. 1,2)")
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="best-of-N repeats per measurement")
-    bench.add_argument("--seed", type=int, default=42)
-    bench.add_argument("-o", "--output", default="BENCH_hotpath.json")
-    bench.set_defaults(handler=_cmd_bench_hotpath)
 
     serve = commands.add_parser(
         "serve",

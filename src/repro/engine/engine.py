@@ -39,12 +39,10 @@ from repro.analysis.satisfiability import (
     xmark_schema,
 )
 from repro.algebra.execution import (
-    BlockConfig,
     DEFAULT_BLOCK_SIZE,
     EvalContext,
     ExpressionEvaluator,
     NodeSetValue,
-    TUPLE_AT_A_TIME,
     dedup_document_order,
     execute_plan,
     to_boolean,
@@ -55,7 +53,7 @@ from repro.algebra.plan import QueryPlan
 from repro.cost.estimator import CostEstimator
 from repro.engine.result import ExecutionMetrics, QueryResult
 from repro.optimizer.optimizer import OptimizationTrace, Optimizer
-from repro.optimizer.rules import DEFAULT_RULES, PathFusionRule, RewriteRule
+from repro.optimizer.rules import DEFAULT_RULES, RewriteRule
 from repro.resilience.guard import QueryGuard
 
 
@@ -69,17 +67,14 @@ class VamanaEngine:
         plan_cache_size: int = 128,
         verify_rewrites: bool = True,
         static_check: bool = True,
-        batched: bool = True,
-        block_size: int | None = None,
         validate_rewrites: bool = False,
-        fused: bool = True,
     ):
         self.store = store
         #: ``validate_rewrites`` turns on translation validation inside
         #: the optimizer: every proposed rewrite is executed (pre and
-        #: post, tuple and batched) against this store and rejected on
-        #: any result discrepancy.  Expensive — a debugging/validation
-        #: mode, not a production default.
+        #: post) against this store and rejected on any result
+        #: discrepancy.  Expensive — a debugging/validation mode, not a
+        #: production default.
         validate = None
         if validate_rewrites:
             from repro.analysis.tv.oracle import DifferentialOracle
@@ -88,26 +83,7 @@ class VamanaEngine:
         self.optimizer = Optimizer(
             store, rules, verify=verify_rewrites, validate=validate
         )
-        #: ``fused`` enables whole-query path fusion: chains of forward
-        #: location steps may be compiled into one ``FusedPathScan``
-        #: automaton pass.  Off, the fusion rule is simply withheld from
-        #: the optimizer, so plans keep the per-step pipeline shape.
-        self.fused = fused
-        unfused_rules = tuple(r for r in rules if not isinstance(r, PathFusionRule))
-        if len(unfused_rules) == len(rules):
-            self._unfused_optimizer = self.optimizer
-        else:
-            self._unfused_optimizer = Optimizer(
-                store, unfused_rules, verify=verify_rewrites, validate=validate
-            )
         self.estimator = CostEstimator(store)
-        #: ``batched`` selects the block-at-a-time pipeline (with shared
-        #: skip-ahead cursors and context coalescing); off, every operator
-        #: moves one tuple per call — the paper's original execution mode,
-        #: kept as the benchmark baseline.  ``block_size`` pins the root
-        #: block size; None lets the cost estimator size it per plan.
-        self.batched = batched
-        self.block_size = block_size
         #: ``static_check`` enables the satisfiability pre-pass: queries
         #: the schema analysis proves empty are answered without planning
         #: or touching the store.  Disable it for documents whose shape
@@ -119,14 +95,9 @@ class VamanaEngine:
         # LRU order: oldest entry first (dicts preserve insertion order; a
         # hit re-inserts its entry at the end).  Plans embed cost decisions
         # made against the store's statistics, so the whole cache is tied
-        # to the store epoch it was built under.  Keys include the
-        # batched/block-size/fused knobs: each cached plan memoizes its
-        # block configuration (``_block_config_hint``) and its fusion
-        # decision, so a plan cached under one knob setting must never be
-        # served under another.
+        # to the store epoch it was built under.
         self._plan_cache: dict[
-            tuple[str, bool, bool, int | None, bool],
-            tuple[QueryPlan, OptimizationTrace | None],
+            tuple[str, bool], tuple[QueryPlan, OptimizationTrace | None]
         ] = {}
         self._plan_cache_size = plan_cache_size
         self._plan_cache_epoch = store.epoch
@@ -148,51 +119,35 @@ class VamanaEngine:
         """Parse and build the default (unoptimized) physical plan."""
         return build_default_plan(expression)
 
-    def optimize(
-        self, plan: QueryPlan, fused: bool | None = None
-    ) -> tuple[QueryPlan, OptimizationTrace]:
-        """Run the cost-driven optimizer; the input plan is untouched.
-
-        ``fused`` overrides the engine's fusion knob for this call:
-        ``False`` optimizes with the path-fusion rule withheld.
-        """
-        effective_fused = self.fused if fused is None else fused
-        optimizer = self.optimizer if effective_fused else self._unfused_optimizer
-        return optimizer.optimize(plan)
+    def optimize(self, plan: QueryPlan) -> tuple[QueryPlan, OptimizationTrace]:
+        """Run the cost-driven optimizer; the input plan is untouched."""
+        return self.optimizer.optimize(plan)
 
     def plan(
-        self, expression: str, optimize: bool = True, fused: bool | None = None
+        self, expression: str, optimize: bool = True
     ) -> tuple[QueryPlan, OptimizationTrace | None]:
         """Cached compile(+optimize) — a genuine LRU keyed on the store epoch.
 
         Any store mutation bumps the epoch; cached plans were optimized
         against the old statistics, so the first plan request after a
-        mutation drops the cache and re-optimizes.  The current
-        ``batched``/``block_size``/``fused`` knobs are part of the key: a
-        cached plan carries a memoized block configuration and its fusion
-        decision, and toggling the knobs on a live engine must produce a
-        fresh entry rather than serve the stale one.  ``fused`` overrides
-        the engine-level knob for this one query.
+        mutation drops the cache and re-optimizes.
 
         Thread-safe: the cache (and a miss's compile+optimize) runs under
         the engine's plan lock, so concurrent callers never corrupt the
         LRU order or compile the same expression twice.
         """
-        plan, trace, _hit = self._plan_cached(expression, optimize, fused)
+        plan, trace, _hit = self._plan_cached(expression, optimize)
         return plan, trace
 
     def _plan_cached(
-        self, expression: str, optimize: bool = True, fused: bool | None = None
+        self, expression: str, optimize: bool = True
     ) -> tuple[QueryPlan, OptimizationTrace | None, bool]:
         """:meth:`plan` plus whether the cache answered (for metrics)."""
         with self._plan_lock:
             if self._plan_cache_epoch != self.store.epoch:
                 self._plan_cache.clear()
                 self._plan_cache_epoch = self.store.epoch
-            effective_fused = self.fused if fused is None else fused
-            cache_key = (
-                expression, optimize, self.batched, self.block_size, effective_fused
-            )
+            cache_key = (expression, optimize)
             cached = self._plan_cache.get(cache_key)
             if cached is not None:
                 # Re-insert to mark this entry most-recently-used.
@@ -210,7 +165,7 @@ class VamanaEngine:
                 # Interrupts and query-guard violations must still abort the
                 # query, so they pass through the sandbox untouched.
                 try:
-                    plan, trace = self.optimize(default, fused=effective_fused)
+                    plan, trace = self.optimize(default)
                 except (
                     KeyboardInterrupt,
                     QueryTimeoutError,
@@ -303,24 +258,18 @@ class VamanaEngine:
 
     # -- execution --------------------------------------------------------------
 
-    def _block_config(self, plan: QueryPlan) -> BlockConfig:
-        """The pipeline configuration for one plan execution.
+    def _block_size(self, plan: QueryPlan) -> int:
+        """The pipeline block size for one plan execution.
 
         The estimator call is advisory: if it breaks on a pathological
         plan the default block size is used.  Guard violations and
         interrupts still propagate.
         """
-        if not self.batched:
-            return TUPLE_AT_A_TIME
-        if self.block_size is not None:
-            return BlockConfig(
-                enabled=True, size=max(1, self.block_size), coalesce=True
-            )
-        # Plans are cached per expression, so memoizing the config on
-        # the plan keeps repeat evaluations from re-walking it (visible
-        # on microsecond-scale queries).
-        config = getattr(plan, "_block_config_hint", None)
-        if config is None:
+        # Plans are cached per expression, so memoizing the size on the
+        # plan keeps repeat evaluations from re-walking it (visible on
+        # microsecond-scale queries).
+        size = getattr(plan, "_block_size_hint", None)
+        if size is None:
             try:
                 size = self.estimator.suggest_block_size(plan)
             except (
@@ -332,9 +281,8 @@ class VamanaEngine:
                 raise
             except Exception:  # noqa: BLE001 - advisory sizing only
                 size = DEFAULT_BLOCK_SIZE
-            config = BlockConfig(enabled=True, size=max(1, size), coalesce=True)
-            plan._block_config_hint = config
-        return config
+            plan._block_size_hint = size
+        return size
 
     def execute(
         self,
@@ -353,7 +301,8 @@ class VamanaEngine:
         started = time.perf_counter()
         raw_keys = list(
             execute_plan(
-                plan, self.store, context, guard=guard, block=self._block_config(plan)
+                plan, self.store, context, guard=guard,
+                block_size=self._block_size(plan),
             )
         )
         elapsed = time.perf_counter() - started
@@ -381,14 +330,12 @@ class VamanaEngine:
         max_pages: int | None = None,
         max_results: int | None = None,
         guard: QueryGuard | None = None,
-        fused: bool | None = None,
     ) -> QueryResult:
         """The full pipeline: compile → optimize → execute.
 
         ``timeout_ms`` / ``max_pages`` / ``max_results`` build a
         :class:`QueryGuard` for this call; pass a prebuilt ``guard``
         instead to share one (e.g. to cancel from another thread).
-        ``fused`` overrides the engine's path-fusion knob for this query.
         """
         if guard is None and (
             timeout_ms is not None or max_pages is not None or max_results is not None
@@ -406,7 +353,7 @@ class VamanaEngine:
                 metrics = ExecutionMetrics(tuples_returned=0)
                 metrics.counters["static_empty"] = 1
                 return QueryResult(self.store, [], metrics, None, expression)
-        plan, trace, cache_hit = self._plan_cached(expression, optimize, fused)
+        plan, trace, cache_hit = self._plan_cached(expression, optimize)
         result = self.execute(plan, context, trace, guard=guard)
         result.metrics.plan_cache_hits = 1 if cache_hit else 0
         result.metrics.plan_cache_misses = 0 if cache_hit else 1
@@ -432,7 +379,7 @@ class VamanaEngine:
         if guard is not None:
             guard.bind(self.store)
         expr = build_expr(tree)
-        evaluator = ExpressionEvaluator(self.store, guard=guard)
+        evaluator = ExpressionEvaluator(self.store, guard)
         eval_context = EvalContext(
             self.store,
             context if context is not None else FlexKey.document(),
@@ -450,7 +397,6 @@ class VamanaEngine:
         expression: str,
         optimize: bool = True,
         verify: bool = False,
-        fused: bool | None = None,
     ) -> str:
         """The annotated plan tree, plus the optimization trace if any.
 
@@ -458,10 +404,9 @@ class VamanaEngine:
         checked against every structural invariant (raising
         :class:`~repro.errors.PlanInvariantError` if one is broken), the
         inferred per-operator properties are appended, and the
-        satisfiability verdict is reported.  ``fused`` overrides the
-        engine's path-fusion knob for this query.
+        satisfiability verdict is reported.
         """
-        plan, trace = self.plan(expression, optimize, fused=fused)
+        plan, trace = self.plan(expression, optimize)
         self.estimator.estimate(plan)
         sections = [plan.explain()]
         if trace is not None:

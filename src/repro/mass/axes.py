@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from repro.mass.flexkey import FlexKey
-from repro.mass.indexes import index_name_for_test
+from repro.mass.indexes import index_name_for_test, text_bounds
 from repro.mass.records import NodeKind, NodeRecord
 from repro.model import Axis, NodeTest
 
@@ -85,12 +85,14 @@ def axis_iter(
     """Iterate the nodes reached from ``context`` along ``axis``.
 
     Hits arrive in axis order (document order for forward axes, reverse
-    document order for reverse axes) and satisfy ``test``.  With
-    ``cursors``, range scans position through the shared skip-ahead
-    cursors instead of descending from the root each time.
+    document order for reverse axes) and satisfy ``test``.  Range scans
+    position through ``cursors``; a caller issuing a run of nearby scans
+    shares one :class:`ScanCursors` across them so each resumes from the
+    previous scan's pinned leaf.  A one-off caller gets a fresh one.
     """
-    handler = _HANDLERS[axis]
-    return handler(store, context, axis, test, cursors)
+    if cursors is None:
+        cursors = ScanCursors(store)
+    return _HANDLERS[axis](store, context, axis, test, cursors)
 
 
 def _record_matches(
@@ -112,57 +114,56 @@ def _record_matches(
     return test.matches(record.kind, record.name, axis.principal_kind)
 
 
-def _key_bound(store: "MassStore", key: FlexKey):
-    """``key`` as an index range bound: its byte image in byte-key mode."""
-    return key.sort_bytes if store.byte_keys else key
-
-
-def _subtree_top(store: "MassStore", key: FlexKey):
-    """The exclusive upper bound of ``key``'s subtree as a range bound."""
-    if store.byte_keys:
-        return key.subtree_upper_bound_bytes()
-    return key.subtree_upper_bound()
-
-
-def _subtree_range(store: "MassStore", context: FlexKey):
+def _subtree_range(context: FlexKey) -> tuple[bytes, bytes | None]:
     """Range (exclusive of context itself) covering context's subtree.
 
-    In byte-key mode this is the flat byte-prefix range derived straight
-    from the context's encoding — no sentinel key is materialised.
+    This is the flat byte-prefix range derived straight from the context's
+    encoding — no sentinel key is materialised.
     """
     if context.is_document():
-        return _key_bound(store, context), None  # everything after the document key
-    return _key_bound(store, context), _subtree_top(store, context)
+        return context.sort_bytes, None  # everything after the document key
+    return context.sort_bytes, context.subtree_upper_bound_bytes()
 
 
 # -- key-arithmetic axes -------------------------------------------------------
 
 
-def _iter_self(store, context, axis, test, cursors=None):
+def _iter_self(store, context, axis, test, cursors):
     record = store.fetch(context)
     if record is not None and _record_matches(record, axis, test, selfish=True):
         yield context, record
 
 
-def _iter_parent(store, context, axis, test, cursors=None):
+def _iter_parent(store, context, axis, test, cursors):
     parent = context.parent()
     if parent is None:
+        return
+    index_name = index_name_for_test(test, axis.principal_kind)
+    if index_name is not None:
+        # A named parent is a point probe of the name index, not a record
+        # fetch.  Parents of document-ordered contexts sit side by side in
+        # the name run, so the shared cursor resumes from its pinned leaf.
+        encoded = parent.sort_bytes
+        for key, _kind in store.name_index.scan_cursor(
+            cursors.name_cursor(), index_name, encoded, encoded + b"\x00"
+        ):
+            yield key, None
         return
     record = store.fetch(parent)
     if record is not None and _record_matches(record, axis, test):
         yield parent, record
 
 
-def _iter_ancestor(store, context, axis, test, cursors=None):
+def _iter_ancestor(store, context, axis, test, cursors):
     for key in context.ancestors():
         record = store.fetch(key)
         if record is not None and _record_matches(record, axis, test):
             yield key, record
 
 
-def _iter_ancestor_or_self(store, context, axis, test, cursors=None):
-    yield from _iter_self(store, context, axis, test)
-    yield from _iter_ancestor(store, context, axis, test)
+def _iter_ancestor_or_self(store, context, axis, test, cursors):
+    yield from _iter_self(store, context, axis, test, cursors)
+    yield from _iter_ancestor(store, context, axis, test, cursors)
 
 
 # -- range-scan axes -----------------------------------------------------------
@@ -172,34 +173,27 @@ def _scan(
     store,
     axis: Axis,
     test: NodeTest,
-    lo,
-    hi,
+    lo: bytes | None,
+    hi: bytes | None,
     inclusive_lo: bool,
+    cursors: ScanCursors,
     reverse: bool = False,
     depth: int | None = None,
     skip_ancestors_of: FlexKey | None = None,
-    cursors: ScanCursors | None = None,
 ) -> Iterator[AxisHit]:
     """One contiguous index scan with the per-axis filters applied.
 
-    ``lo``/``hi`` are range bounds in the store's search space — byte
-    prefixes in byte-key mode, FLEX keys otherwise (see :func:`_key_bound`).
-    Uses the name index when the node test pins an index name (no record
-    fetches at all — depth filtering is key arithmetic); otherwise scans
-    the clustered node index and filters records.  With ``cursors``, the
-    scan positions through the shared cursor (leaf resume) instead of a
-    fresh root descent.
+    ``lo``/``hi`` are byte-prefix range bounds.  Uses the name index when
+    the node test pins an index name (no record fetches at all — depth
+    filtering is key arithmetic); otherwise scans the clustered node index
+    and filters records.  Either way the scan positions through the shared
+    cursor (leaf resume) instead of a fresh root descent.
     """
     index_name = index_name_for_test(test, axis.principal_kind)
     if index_name is not None:
-        if cursors is not None:
-            hits = store.name_index.scan_cursor(
-                cursors.name_cursor(), index_name, lo, hi, inclusive_lo, reverse
-            )
-        else:
-            hits = store.name_index.scan(
-                index_name, lo=lo, hi=hi, inclusive_lo=inclusive_lo, reverse=reverse
-            )
+        hits = store.name_index.scan_cursor(
+            cursors.name_cursor(), index_name, lo, hi, inclusive_lo, reverse
+        )
         for key, kind in hits:
             if kind in _SPECIAL_KINDS and axis not in (Axis.ATTRIBUTE, Axis.NAMESPACE):
                 continue
@@ -213,14 +207,9 @@ def _scan(
                 continue
             yield key, None
         return
-    if cursors is not None:
-        records = store.node_index.scan_cursor(
-            cursors.node_cursor(), lo, hi, inclusive_lo=inclusive_lo, reverse=reverse
-        )
-    else:
-        records = store.node_index.scan(
-            lo, hi, inclusive_lo=inclusive_lo, reverse=reverse
-        )
+    records = store.node_index.scan_cursor(
+        cursors.node_cursor(), lo, hi, inclusive_lo=inclusive_lo, reverse=reverse
+    )
     for record in records:
         if depth is not None and record.key.depth != depth:
             continue
@@ -230,48 +219,48 @@ def _scan(
             yield record.key, record
 
 
-def _iter_child(store, context, axis, test, cursors=None):
-    lo, hi = _subtree_range(store, context)
+def _iter_child(store, context, axis, test, cursors):
+    lo, hi = _subtree_range(context)
     yield from _scan(
         store, axis, test, lo, hi, inclusive_lo=False, depth=context.depth + 1,
         cursors=cursors,
     )
 
 
-def _iter_attribute(store, context, axis, test, cursors=None):
-    lo, hi = _subtree_range(store, context)
+def _iter_attribute(store, context, axis, test, cursors):
+    lo, hi = _subtree_range(context)
     yield from _scan(
         store, axis, test, lo, hi, inclusive_lo=False, depth=context.depth + 1,
         cursors=cursors,
     )
 
 
-def _iter_namespace(store, context, axis, test, cursors=None):
-    lo, hi = _subtree_range(store, context)
+def _iter_namespace(store, context, axis, test, cursors):
+    lo, hi = _subtree_range(context)
     yield from _scan(
         store, axis, test, lo, hi, inclusive_lo=False, depth=context.depth + 1,
         cursors=cursors,
     )
 
 
-def _iter_descendant(store, context, axis, test, cursors=None):
-    lo, hi = _subtree_range(store, context)
+def _iter_descendant(store, context, axis, test, cursors):
+    lo, hi = _subtree_range(context)
     yield from _scan(store, axis, test, lo, hi, inclusive_lo=False, cursors=cursors)
 
 
-def _iter_descendant_or_self(store, context, axis, test, cursors=None):
-    yield from _iter_self(store, context, axis, test)
+def _iter_descendant_or_self(store, context, axis, test, cursors):
+    yield from _iter_self(store, context, axis, test, cursors)
     yield from _iter_descendant(store, context, axis, test, cursors)
 
 
-def _iter_following(store, context, axis, test, cursors=None):
+def _iter_following(store, context, axis, test, cursors):
     if context.is_document():
         return
-    bound = _subtree_top(store, context)
+    bound = context.subtree_upper_bound_bytes()
     yield from _scan(store, axis, test, bound, None, inclusive_lo=True, cursors=cursors)
 
 
-def _iter_preceding(store, context, axis, test, cursors=None):
+def _iter_preceding(store, context, axis, test, cursors):
     if context.is_document():
         return
     yield from _scan(
@@ -279,7 +268,7 @@ def _iter_preceding(store, context, axis, test, cursors=None):
         axis,
         test,
         None,
-        _key_bound(store, context),
+        context.sort_bytes,
         inclusive_lo=True,
         reverse=True,
         skip_ancestors_of=context,
@@ -287,34 +276,34 @@ def _iter_preceding(store, context, axis, test, cursors=None):
     )
 
 
-def _context_has_siblings(store, context: FlexKey, cursors=None) -> bool:
+def _context_has_siblings(context: FlexKey, cursors: ScanCursors) -> bool:
     """Attribute and namespace nodes have no siblings (XPath 1.0 §2.2)."""
-    record = cursors.fetch(context) if cursors else store.fetch(context)
+    record = cursors.fetch(context)
     return record is None or record.kind not in _SPECIAL_KINDS
 
 
-def _iter_following_sibling(store, context, axis, test, cursors=None):
+def _iter_following_sibling(store, context, axis, test, cursors):
     parent = context.parent()
-    if parent is None or not _context_has_siblings(store, context, cursors):
+    if parent is None or not _context_has_siblings(context, cursors):
         return
-    lo = _subtree_top(store, context)
-    hi = None if parent.is_document() else _subtree_top(store, parent)
+    lo = context.subtree_upper_bound_bytes()
+    hi = None if parent.is_document() else parent.subtree_upper_bound_bytes()
     yield from _scan(
         store, axis, test, lo, hi, inclusive_lo=True, depth=context.depth,
         cursors=cursors,
     )
 
 
-def _iter_preceding_sibling(store, context, axis, test, cursors=None):
+def _iter_preceding_sibling(store, context, axis, test, cursors):
     parent = context.parent()
-    if parent is None or not _context_has_siblings(store, context, cursors):
+    if parent is None or not _context_has_siblings(context, cursors):
         return
     yield from _scan(
         store,
         axis,
         test,
-        _key_bound(store, parent),
-        _key_bound(store, context),
+        parent.sort_bytes,
+        context.sort_bytes,
         inclusive_lo=False,
         reverse=True,
         depth=context.depth,
@@ -365,8 +354,8 @@ def coalesced_spans(
     batches) contributes nothing new — the covering span's scan already
     emits its self hit and its whole subtree — and is dropped outright.
     This is only sound when the consumer deduplicates (coalescing collapses
-    the duplicate hits tuple-at-a-time evaluation would emit), which the
-    batch gate in the execution layer guarantees.
+    the duplicate hits per-context evaluation would emit), which the batch
+    gate in the execution layer guarantees.
 
     ``axis`` must be DESCENDANT, DESCENDANT_OR_SELF or FOLLOWING.  For
     FOLLOWING the whole batch collapses to one open span starting at the
@@ -423,8 +412,8 @@ def scan_coalesced(
     """Scan disjoint document-ordered spans, yielding matching keys.
 
     The guard is checkpointed every :data:`_CHECKPOINT_EVERY` scanned
-    entries — the batched pipeline's replacement for the per-tuple
-    checkpoints of ``next_tuple``.  When the node test pins an index name,
+    entries, so a long span cannot outrun a resource limit between two
+    ``next_block`` calls.  When the node test pins an index name,
     the zig-zag skip applies: a span whose upper bound lies at or before
     the cursor's pinned position (which, spans being sorted and disjoint,
     is the first entry not yet returned) is proven empty and skipped with
@@ -436,7 +425,7 @@ def scan_coalesced(
         cursor = cursors.name_cursor()
         for lo, hi, inclusive_lo in spans:
             if hi is not None:
-                _low, high = store.name_index.search_bounds(index_name, lo, hi)
+                _low, high = text_bounds(index_name, lo, hi)
                 if cursor.past(high):
                     continue
             for key, kind in store.name_index.scan_cursor(
@@ -481,7 +470,7 @@ def axis_count_upper(
     if index_name is None:
         return None
     if axis in (Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF, Axis.CHILD, Axis.ATTRIBUTE):
-        lo, hi = _subtree_range(store, context)
+        lo, hi = _subtree_range(context)
         count = store.name_index.count_between(index_name, lo, hi, inclusive_lo=False)
         if axis is Axis.DESCENDANT_OR_SELF:
             record = store.fetch(context)
@@ -492,24 +481,21 @@ def axis_count_upper(
         if context.is_document():
             return 0
         return store.name_index.count_between(
-            index_name, _subtree_top(store, context), None
+            index_name, context.subtree_upper_bound_bytes(), None
         )
     if axis is Axis.PRECEDING:
-        return store.name_index.count_between(
-            index_name, None, _key_bound(store, context)
-        )
+        return store.name_index.count_between(index_name, None, context.sort_bytes)
     if axis in (Axis.FOLLOWING_SIBLING, Axis.PRECEDING_SIBLING):
         parent = context.parent()
         if parent is None:
             return 0
         if axis is Axis.FOLLOWING_SIBLING:
-            lo = _subtree_top(store, context)
-            hi = None if parent.is_document() else _subtree_top(store, parent)
+            lo = context.subtree_upper_bound_bytes()
+            hi = None if parent.is_document() else parent.subtree_upper_bound_bytes()
             return store.name_index.count_between(index_name, lo, hi)
         # preceding-sibling: the parent's own entry must not count.
         return store.name_index.count_between(
-            index_name, _key_bound(store, parent), _key_bound(store, context),
-            inclusive_lo=False,
+            index_name, parent.sort_bytes, context.sort_bytes, inclusive_lo=False,
         )
     if axis in (Axis.SELF, Axis.PARENT):
         return 1
@@ -535,7 +521,7 @@ def axis_count_exact(
     if index_name is None:
         return None
     if axis in (Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF):
-        lo, hi = _subtree_range(store, context)
+        lo, hi = _subtree_range(context)
         count = store.name_index.count_between(index_name, lo, hi, inclusive_lo=False)
         if axis is Axis.DESCENDANT_OR_SELF:
             record = store.fetch(context)
@@ -546,6 +532,6 @@ def axis_count_exact(
         if context.is_document():
             return 0
         return store.name_index.count_between(
-            index_name, _subtree_top(store, context), None
+            index_name, context.subtree_upper_bound_bytes(), None
         )
     return None

@@ -20,18 +20,17 @@ Search keys
 -----------
 
 The tree separates *logical* keys (what callers insert and scans yield)
-from *search* keys (what descents and node searches compare).  With no
-``encode`` function the two coincide and every comparison runs through the
-instrumented Python binary search.  When the tree is built with an
-order-preserving ``encode`` (FLEX keys encode to :attr:`FlexKey.sort_bytes`,
-composite index keys to escaped byte strings), each node keeps a parallel
-array of byte search keys and searches it with the stdlib ``bisect`` C
-implementation — the ``key_comparisons`` counter is then advanced by the
-calibrated comparison count of a binary search (``len(keys).bit_length()``)
-so I/O accounting stays comparable across both modes.  Range bounds are
-encoded once per operation, never per comparison, and callers that already
-hold byte bounds (subtree prefix ranges) can pass them straight to the
-``*_encoded`` entry points.
+from *search* keys (what descents and node searches compare).  The
+order-preserving ``encode`` function maps one to the other (FLEX keys
+encode to :attr:`FlexKey.sort_bytes`, composite index keys to escaped byte
+strings); each node keeps a parallel array of byte search keys and searches
+it with the stdlib ``bisect`` C implementation.  The ``key_comparisons``
+counter is advanced by the calibrated comparison count of a binary search
+(``len(keys).bit_length()``).  Point operations (``get``/``insert``/
+``delete``) take logical keys and encode them once; range operations
+(``scan``/``scan_reverse``/``rank``/``range_count``) take bounds already in
+search-key space, because their callers derive them as byte prefixes
+(subtree ranges) rather than from a logical key.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ class _Leaf:
 
     def __init__(self, page: Page):
         self.keys: list[Any] = []
-        self.skeys: list[Any] = []  # parallel search keys (byte mode only)
+        self.skeys: list[bytes] = []  # parallel search keys
         self.values: list[Any] = []
         self.next: _Leaf | None = None
         self.prev: _Leaf | None = None
@@ -107,18 +106,18 @@ class BPlusTree:
 
     Keys must be unique; composite indexes append the FLEX key to the index
     key to guarantee this.  ``order`` (maximum entries per node) is derived
-    from the page size unless given explicitly.  ``encode``, if given, maps
-    a logical key to a byte search key whose lexicographic order equals the
-    logical order; node searches then run on flat byte arrays at C speed.
+    from the page size unless given explicitly.  ``encode`` maps a logical
+    key to a byte search key whose lexicographic order equals the logical
+    order; node searches run on flat byte arrays at C speed.
     """
 
     def __init__(
         self,
         manager: PageManager,
         buffer_pool: BufferPool,
+        encode: Callable[[Any], bytes],
         order: int | None = None,
         entry_bytes: int = DEFAULT_ENTRY_BYTES,
-        encode: Callable[[Any], bytes] | None = None,
     ):
         self._manager = manager
         self._buffer = buffer_pool
@@ -179,49 +178,17 @@ class BPlusTree:
         node.page.used_bytes = entries * DEFAULT_ENTRY_BYTES
         self._manager.mark_write(node.page)
 
-    # -- search keys ---------------------------------------------------------
-
-    def search_key(self, key: Any) -> Any:
-        """The search-space image of a logical key (identity w/o encoder)."""
-        return key if self._encode is None else self._encode(key)
-
-    def _search_opt(self, key: Any) -> Any:
-        return None if key is None else self.search_key(key)
-
-    def _leaf_skeys(self, leaf: _Leaf) -> list[Any]:
-        return leaf.keys if self._encode is None else leaf.skeys
-
     # -- comparison helpers (instrumented binary search) ---------------------
 
-    def _bisect_left(self, skeys: list[Any], skey: Any) -> int:
-        if self._encode is not None:
-            # C-speed byte search; charge the calibrated comparison count
-            # a binary search over n keys performs.
-            self.metrics.key_comparisons += len(skeys).bit_length()
-            return _c_bisect_left(skeys, skey)
-        lo, hi = 0, len(skeys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            self.metrics.key_comparisons += 1
-            if skeys[mid] < skey:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+    def _bisect_left(self, skeys: list[bytes], skey: bytes) -> int:
+        # C-speed byte search; charge the calibrated comparison count a
+        # binary search over n keys performs.
+        self.metrics.key_comparisons += len(skeys).bit_length()
+        return _c_bisect_left(skeys, skey)
 
-    def _bisect_right(self, skeys: list[Any], skey: Any) -> int:
-        if self._encode is not None:
-            self.metrics.key_comparisons += len(skeys).bit_length()
-            return _c_bisect_right(skeys, skey)
-        lo, hi = 0, len(skeys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            self.metrics.key_comparisons += 1
-            if skey < skeys[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+    def _bisect_right(self, skeys: list[bytes], skey: bytes) -> int:
+        self.metrics.key_comparisons += len(skeys).bit_length()
+        return _c_bisect_right(skeys, skey)
 
     # -- public: size -------------------------------------------------------
 
@@ -243,9 +210,9 @@ class BPlusTree:
     # -- public: point operations --------------------------------------------
 
     def get(self, key: Any, default: Any = None) -> Any:
-        skey = self.search_key(key)
+        skey = self._encode(key)
         leaf, index = self._find_leaf(skey)
-        skeys = self._leaf_skeys(leaf)
+        skeys = leaf.skeys
         if index < len(skeys) and skeys[index] == skey:
             self.metrics.entries_scanned += 1
             return leaf.values[index]
@@ -259,7 +226,7 @@ class BPlusTree:
         """Insert a new entry; replaces the value if the key exists."""
         self._ensure_mutable()
         self._mods += 1
-        split = self._insert_into(self._root, key, self.search_key(key), value)
+        split = self._insert_into(self._root, key, self._encode(key), value)
         if split is not None:
             separator, right = split
             new_root = self._new_internal()
@@ -278,7 +245,7 @@ class BPlusTree:
         """
         self._ensure_mutable()
         self._mods += 1
-        removed = self._delete_from(self._root, self.search_key(key))
+        removed = self._delete_from(self._root, self._encode(key))
         if removed:
             if isinstance(self._root, _Internal) and len(self._root.children) == 1:
                 old = self._root
@@ -309,34 +276,19 @@ class BPlusTree:
         self._visit(node)
         return node.keys[-1], node.values[-1]
 
-    def seek(self, key: Any) -> Iterator[tuple[Any, Any]]:
-        """Iterate entries with keys >= ``key`` in ascending order."""
-        return self.scan(lo=key, inclusive_lo=True)
-
     def scan(
         self,
-        lo: Any = None,
-        hi: Any = None,
+        lo: bytes | None = None,
+        hi: bytes | None = None,
         inclusive_lo: bool = True,
         inclusive_hi: bool = False,
     ) -> Iterator[tuple[Any, Any]]:
         """Forward range scan over [lo, hi) by default.
 
-        ``None`` bounds are open.  The iterator touches each visited leaf
-        page once and charges one entry-scan per yielded entry.
+        Bounds are in search-key space; ``None`` bounds are open.  The
+        iterator touches each visited leaf page once and charges one
+        entry-scan per yielded entry.
         """
-        return self.scan_encoded(
-            self._search_opt(lo), self._search_opt(hi), inclusive_lo, inclusive_hi
-        )
-
-    def scan_encoded(
-        self,
-        lo: Any = None,
-        hi: Any = None,
-        inclusive_lo: bool = True,
-        inclusive_hi: bool = False,
-    ) -> Iterator[tuple[Any, Any]]:
-        """:meth:`scan` with bounds already in search-key space."""
         if not self._size:
             return
         if lo is None:
@@ -344,7 +296,7 @@ class BPlusTree:
         else:
             leaf, index = self._find_leaf(lo, right=not inclusive_lo)
         while leaf is not None:
-            skeys = self._leaf_skeys(leaf)
+            skeys = leaf.skeys
             if index >= len(skeys):
                 leaf = leaf.next
                 index = 0
@@ -363,24 +315,12 @@ class BPlusTree:
 
     def scan_reverse(
         self,
-        lo: Any = None,
-        hi: Any = None,
+        lo: bytes | None = None,
+        hi: bytes | None = None,
         inclusive_lo: bool = True,
         inclusive_hi: bool = False,
     ) -> Iterator[tuple[Any, Any]]:
         """Descending scan of the same range as :meth:`scan`."""
-        return self.scan_reverse_encoded(
-            self._search_opt(lo), self._search_opt(hi), inclusive_lo, inclusive_hi
-        )
-
-    def scan_reverse_encoded(
-        self,
-        lo: Any = None,
-        hi: Any = None,
-        inclusive_lo: bool = True,
-        inclusive_hi: bool = False,
-    ) -> Iterator[tuple[Any, Any]]:
-        """:meth:`scan_reverse` with bounds already in search-key space."""
         if not self._size:
             return
         if hi is None:
@@ -404,7 +344,7 @@ class BPlusTree:
                 index = len(leaf.keys) - 1
                 continue
             if lo is not None:
-                skey = self._leaf_skeys(leaf)[index]
+                skey = leaf.skeys[index]
                 self.metrics.key_comparisons += 1
                 past = skey < lo if inclusive_lo else skey <= lo
                 if past:
@@ -418,94 +358,40 @@ class BPlusTree:
 
     # -- public: counting ------------------------------------------------------
 
-    def rank(self, key: Any, inclusive: bool = False) -> int:
-        """Number of stored keys < ``key`` (<= if ``inclusive``).
+    def rank(self, skey: bytes, inclusive: bool = False) -> int:
+        """Number of stored search keys < ``skey`` (<= if ``inclusive``).
 
         O(log n): one root-to-leaf descent adding up the counts of skipped
         siblings.  No leaf data outside the boundary path is touched.
         """
-        return self.rank_encoded(self.search_key(key), inclusive)
-
-    def rank_encoded(self, skey: Any, inclusive: bool = False) -> int:
-        """:meth:`rank` with the key already in search-key space."""
-        if self._encode is not None:
-            # Byte-mode fast path: C bisect over flat byte arrays with
-            # hoisted locals and one batched metrics update per descent.
-            # The accounting is identical to the generic path below.
-            bis = _c_bisect_right if inclusive else _c_bisect_left
-            touch = self._buffer.touch
-            node = self._root
-            rank = 0
-            visits = 0
-            comparisons = 0
-            while isinstance(node, _Internal):
-                visits += 1
-                touch(node.page)
-                separators = node.separators
-                comparisons += len(separators).bit_length()
-                child_index = bis(separators, skey)
-                if child_index:
-                    rank += sum(node.counts[:child_index])
-                node = node.children[child_index]
-            touch(node.page)
-            skeys = node.skeys
-            metrics = self.metrics
-            metrics.node_visits += visits + 1
-            metrics.key_comparisons += comparisons + len(skeys).bit_length()
-            return rank + bis(skeys, skey)
-        bisect = self._bisect_right if inclusive else self._bisect_left
-        node = self._root
-        rank = 0
-        while isinstance(node, _Internal):
-            self._visit(node)
-            child_index = bisect(node.separators, skey)
-            rank += sum(node.counts[:child_index])
-            node = node.children[child_index]
-        self._visit(node)
-        rank += bisect(self._leaf_skeys(node), skey)
-        return rank
+        bis = _c_bisect_right if inclusive else _c_bisect_left
+        return self._boundary_rank(self._root, skey, bis)
 
     def range_count(
         self,
-        lo: Any = None,
-        hi: Any = None,
+        lo: bytes | None = None,
+        hi: bytes | None = None,
         inclusive_lo: bool = True,
         inclusive_hi: bool = False,
     ) -> int:
-        """Count keys in the range without fetching them."""
-        return self.range_count_encoded(
-            self._search_opt(lo), self._search_opt(hi), inclusive_lo, inclusive_hi
-        )
+        """Count keys in the range (search-key bounds) without fetching them.
 
-    def range_count_encoded(
-        self,
-        lo: Any = None,
-        hi: Any = None,
-        inclusive_lo: bool = True,
-        inclusive_hi: bool = False,
-    ) -> int:
-        """:meth:`range_count` with bounds already in search-key space.
-
-        In byte mode a two-sided range is answered with one joint descent:
-        while both boundary paths pass through the same child, their
-        skipped-sibling counts cancel in ``rank(hi) - rank(lo)``, so the
-        shared prefix of the two descents is walked (and its pages
-        touched) once instead of twice.
+        A two-sided range is answered with one joint descent: while both
+        boundary paths pass through the same child, their skipped-sibling
+        counts cancel in ``rank(hi) - rank(lo)``, so the shared prefix of
+        the two descents is walked (and its pages touched) once instead of
+        twice.
         """
-        if self._encode is not None and lo is not None and hi is not None:
+        if lo is not None and hi is not None:
             return self._range_count_joint(lo, hi, inclusive_lo, inclusive_hi)
-        high_rank = (
-            self._size if hi is None else self.rank_encoded(hi, inclusive=inclusive_hi)
-        )
-        low_rank = (
-            0 if lo is None else self.rank_encoded(lo, inclusive=not inclusive_lo)
-        )
+        high_rank = self._size if hi is None else self.rank(hi, inclusive=inclusive_hi)
+        low_rank = 0 if lo is None else self.rank(lo, inclusive=not inclusive_lo)
         return max(0, high_rank - low_rank)
 
     def _range_count_joint(
-        self, lo: Any, hi: Any, inclusive_lo: bool, inclusive_hi: bool
+        self, lo: bytes, hi: bytes, inclusive_lo: bool, inclusive_hi: bool
     ) -> int:
-        """Single-descent counted-tree range count (byte mode only)."""
+        """Single-descent counted-tree range count."""
         bis_lo = _c_bisect_right if not inclusive_lo else _c_bisect_left
         bis_hi = _c_bisect_right if inclusive_hi else _c_bisect_left
         touch = self._buffer.touch
@@ -539,9 +425,13 @@ class BPlusTree:
         return max(0, bis_hi(skeys, hi) - bis_lo(skeys, lo))
 
     def _boundary_rank(
-        self, node: "_Leaf | _Internal", skey: Any, bis: Callable
+        self, node: "_Leaf | _Internal", skey: bytes, bis: Callable
     ) -> int:
-        """Rank of ``skey`` within one boundary subtree (byte mode only)."""
+        """Rank of ``skey`` within one boundary subtree.
+
+        C bisect over flat byte arrays with hoisted locals and one batched
+        metrics update per descent.
+        """
         touch = self._buffer.touch
         rank = 0
         visits = 0
@@ -573,11 +463,8 @@ class BPlusTree:
         self._ensure_mutable()
         self._mods += 1
         pairs = list(items)
-        if self._encode is None:
-            skeys = [key for key, _ in pairs]
-        else:
-            encode = self._encode
-            skeys = [encode(key) for key, _ in pairs]
+        encode = self._encode
+        skeys = [encode(key) for key, _ in pairs]
         for index in range(1, len(skeys)):
             if not skeys[index - 1] < skeys[index]:
                 raise StorageError(
@@ -597,8 +484,7 @@ class BPlusTree:
             leaf = self._new_leaf()
             leaf.keys = [key for key, _ in chunk]
             leaf.values = [value for _, value in chunk]
-            if self._encode is not None:
-                leaf.skeys = skeys[start : start + per_leaf]
+            leaf.skeys = skeys[start : start + per_leaf]
             leaf.prev = previous
             if previous is not None:
                 previous.next = leaf
@@ -623,40 +509,31 @@ class BPlusTree:
 
     # -- internal: descent ---------------------------------------------------------
 
-    def _find_leaf(self, skey: Any, right: bool = False) -> tuple[_Leaf, int]:
+    def _find_leaf(self, skey: bytes, right: bool = False) -> tuple[_Leaf, int]:
         """Descend to the leaf for ``skey``; returns (leaf, slot index).
 
         The leaf slot is the bisect-left position, or bisect-right when
         ``right`` is set (used by exclusive/inclusive scan bounds).
         """
         self.metrics.root_descents += 1
-        if self._encode is not None:
-            # Byte-mode fast path — see rank_encoded.
-            touch = self._buffer.touch
-            node = self._root
-            visits = 1
-            comparisons = 0
-            while isinstance(node, _Internal):
-                touch(node.page)
-                separators = node.separators
-                comparisons += len(separators).bit_length()
-                node = node.children[_c_bisect_right(separators, skey)]
-                visits += 1
-            touch(node.page)
-            skeys = node.skeys
-            metrics = self.metrics
-            metrics.node_visits += visits
-            metrics.key_comparisons += comparisons + len(skeys).bit_length()
-            slot = (_c_bisect_right if right else _c_bisect_left)(skeys, skey)
-            return node, slot
-        bisect = self._bisect_right if right else self._bisect_left
+        # Hoisted locals, batched metrics — see _boundary_rank.
+        touch = self._buffer.touch
         node = self._root
+        visits = 1
+        comparisons = 0
         while isinstance(node, _Internal):
-            self._visit(node)
-            child_index = self._bisect_right(node.separators, skey)
-            node = node.children[child_index]
-        self._visit(node)
-        return node, bisect(self._leaf_skeys(node), skey)
+            touch(node.page)
+            separators = node.separators
+            comparisons += len(separators).bit_length()
+            node = node.children[_c_bisect_right(separators, skey)]
+            visits += 1
+        touch(node.page)
+        skeys = node.skeys
+        metrics = self.metrics
+        metrics.node_visits += visits
+        metrics.key_comparisons += comparisons + len(skeys).bit_length()
+        slot = (_c_bisect_right if right else _c_bisect_left)(skeys, skey)
+        return node, slot
 
     def _leftmost_leaf(self) -> _Leaf:
         self.metrics.root_descents += 1
@@ -676,20 +553,20 @@ class BPlusTree:
         self._visit(node)
         return node
 
-    def _subtree_min(self, node: _Leaf | _Internal) -> Any:
+    def _subtree_min(self, node: _Leaf | _Internal) -> bytes:
         while isinstance(node, _Internal):
             node = node.children[0]
-        return self._leaf_skeys(node)[0]
+        return node.skeys[0]
 
     # -- internal: insert ------------------------------------------------------------
 
     def _insert_into(
-        self, node: _Leaf | _Internal, key: Any, skey: Any, value: Any
-    ) -> tuple[Any, _Leaf | _Internal] | None:
+        self, node: _Leaf | _Internal, key: Any, skey: bytes, value: Any
+    ) -> tuple[bytes, _Leaf | _Internal] | None:
         """Recursive insert; returns (separator, new right sibling) on split."""
         self._visit(node)
         if isinstance(node, _Leaf):
-            skeys = self._leaf_skeys(node)
+            skeys = node.skeys
             index = self._bisect_left(skeys, skey)
             if index < len(skeys) and skeys[index] == skey:
                 node.values[index] = value
@@ -697,8 +574,7 @@ class BPlusTree:
                 return None
             node.keys.insert(index, key)
             node.values.insert(index, value)
-            if self._encode is not None:
-                node.skeys.insert(index, skey)
+            skeys.insert(index, skey)
             self._size += 1
             self._update_page_usage(node)
             if len(node.keys) <= self._order:
@@ -726,9 +602,8 @@ class BPlusTree:
         right.values = leaf.values[middle:]
         leaf.keys = leaf.keys[:middle]
         leaf.values = leaf.values[:middle]
-        if self._encode is not None:
-            right.skeys = leaf.skeys[middle:]
-            leaf.skeys = leaf.skeys[:middle]
+        right.skeys = leaf.skeys[middle:]
+        leaf.skeys = leaf.skeys[:middle]
         right.next = leaf.next
         if right.next is not None:
             right.next.prev = right
@@ -736,7 +611,7 @@ class BPlusTree:
         leaf.next = right
         self._update_page_usage(leaf)
         self._update_page_usage(right)
-        return self._leaf_skeys(right)[0], right
+        return right.skeys[0], right
 
     def _split_internal(self, node: _Internal) -> tuple[Any, _Internal]:
         middle = len(node.children) // 2
@@ -757,14 +632,13 @@ class BPlusTree:
     def _delete_from(self, node: _Leaf | _Internal, skey: Any) -> bool:
         self._visit(node)
         if isinstance(node, _Leaf):
-            skeys = self._leaf_skeys(node)
+            skeys = node.skeys
             index = self._bisect_left(skeys, skey)
             if index >= len(skeys) or skeys[index] != skey:
                 return False
             del node.keys[index]
             del node.values[index]
-            if self._encode is not None:
-                del node.skeys[index]
+            del skeys[index]
             self._size -= 1
             self._update_page_usage(node)
             return True
@@ -815,24 +689,16 @@ class BPlusTree:
         if total != self._size:
             raise StorageError(f"size mismatch: counted {total}, recorded {self._size}")
         # Leaf chain must enumerate exactly the sorted key set.
-        chained = [key for key, _ in self.scan()]
-        if self._encode is None:
-            if chained != sorted(chained):
-                raise StorageError("leaf chain out of order")
-        else:
-            encode = self._encode
-            encoded = [encode(key) for key in chained]
-            if encoded != sorted(encoded):
-                raise StorageError("leaf chain out of order")
+        chained = [self._encode(key) for key, _ in self.scan()]
+        if chained != sorted(chained):
+            raise StorageError("leaf chain out of order")
         if len(chained) != self._size:
             raise StorageError("leaf chain length mismatch")
 
     def _check_node(self, node: _Leaf | _Internal, lo: Any, hi: Any) -> tuple[int, Any, Any]:
         if isinstance(node, _Leaf):
-            skeys = self._leaf_skeys(node)
-            if self._encode is not None and [
-                self._encode(key) for key in node.keys
-            ] != skeys:
+            skeys = node.skeys
+            if [self._encode(key) for key in node.keys] != skeys:
                 raise StorageError("leaf search keys out of sync with keys")
             for earlier, later in zip(skeys, skeys[1:]):
                 if not earlier < later:
@@ -861,7 +727,7 @@ class BPlusTree:
 class BTreeCursor:
     """A pinned-leaf range scanner that resumes instead of re-descending.
 
-    A plain :meth:`BPlusTree.scan_encoded` starts every range with a full
+    A plain :meth:`BPlusTree.scan` starts every range with a full
     root-to-leaf descent.  Axis evaluation, however, issues long runs of
     *nearby* ranges — one per context node, in document order — so the
     next range's start almost always lives in the leaf where the previous
@@ -914,7 +780,7 @@ class BTreeCursor:
                 if leaf is None or not leaf.keys or leaf in seen:
                     continue
                 seen.append(leaf)
-                skeys = tree._leaf_skeys(leaf)
+                skeys = leaf.skeys
                 if skeys[0] <= skey <= skeys[-1]:
                     tree._visit(leaf)
                     bis = tree._bisect_right if right else tree._bisect_left
@@ -924,7 +790,7 @@ class BTreeCursor:
     def seek(self, skey: Any, right: bool = False) -> tuple[_Leaf, int]:
         """Pin the position of the first entry >= ``skey`` (> if ``right``).
 
-        Bounds are in search-key space (pre-encoded in byte mode).
+        Bounds are in search-key space.
         """
         self._token += 1
         position = self._resume(skey, right)
@@ -943,7 +809,7 @@ class BTreeCursor:
         if not self._tree._size:
             return default
         leaf, index = self.seek(skey)
-        skeys = self._tree._leaf_skeys(leaf)
+        skeys = leaf.skeys
         if index < len(skeys) and skeys[index] == skey:
             return leaf.values[index]
         return default
@@ -957,7 +823,7 @@ class BTreeCursor:
         leaf = self._leaf
         if leaf is None or self._mods != self._tree._mods:
             return False
-        skeys = self._tree._leaf_skeys(leaf)
+        skeys = leaf.skeys
         if self._index < len(skeys):
             return skeys[self._index] >= skey
         return False
@@ -971,7 +837,7 @@ class BTreeCursor:
         inclusive_lo: bool = True,
         inclusive_hi: bool = False,
     ) -> Iterator[tuple[Any, Any]]:
-        """:meth:`BPlusTree.scan_encoded`, resuming from the pinned leaf.
+        """:meth:`BPlusTree.scan`, resuming from the pinned leaf.
 
         The cursor is left pinned where the scan stops (bound hit,
         exhaustion, or abandonment), ready to resume the next range.
@@ -991,7 +857,7 @@ class BTreeCursor:
         metrics = tree.metrics
         try:
             while leaf is not None:
-                skeys = tree._leaf_skeys(leaf)
+                skeys = leaf.skeys
                 if index >= len(skeys):
                     leaf = leaf.next
                     index = 0
@@ -1021,7 +887,7 @@ class BTreeCursor:
         inclusive_lo: bool = True,
         inclusive_hi: bool = False,
     ) -> Iterator[tuple[Any, Any]]:
-        """:meth:`BPlusTree.scan_reverse_encoded` with cursor resume."""
+        """:meth:`BPlusTree.scan_reverse` with cursor resume."""
         tree = self._tree
         if not tree._size:
             return
@@ -1046,7 +912,7 @@ class BTreeCursor:
                     index = len(leaf.keys) - 1
                     continue
                 if lo is not None:
-                    skey = tree._leaf_skeys(leaf)[index]
+                    skey = leaf.skeys[index]
                     metrics.key_comparisons += 1
                     past = skey < lo if inclusive_lo else skey <= lo
                     if past:

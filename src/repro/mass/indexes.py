@@ -15,15 +15,14 @@ MASS keeps every document in three counted B+-trees:
   ``text() = 'Yung Flach'`` with a single lookup (where eXist falls back to
   tree traversal) and gives the cost model exact text counts (TC).
 
-The composite keys compare as plain Python tuples — the string first, the
-FLEX key second — so all entries for one name/value form one contiguous
-run.  In the default byte-key mode each tree additionally carries an
+The composite keys order the string first, the FLEX key second, so all
+entries for one name/value form one contiguous run.  Each tree searches an
 order-preserving byte encoding of its keys (:func:`composite_sort_bytes`
-for the composite indexes, :attr:`FlexKey.sort_bytes` for the node index)
-and every search, scan bound and range count operates on flat ``bytes``
-at C speed.  Index-level range methods accept either FLEX keys or
-pre-encoded byte bounds, so axis evaluation can hand over subtree prefix
-ranges without re-deriving them.
+for the composite indexes, :attr:`FlexKey.sort_bytes` for the node index),
+so every search, scan bound and range count operates on flat ``bytes`` at
+C speed.  Index-level range methods accept either FLEX keys or pre-encoded
+byte bounds, so axis evaluation can hand over subtree prefix ranges
+without re-deriving them.
 """
 
 from __future__ import annotations
@@ -78,11 +77,6 @@ def index_name_for_test(test: NodeTest, principal: NodeKind) -> str | None:
     return None
 
 
-def _upper_bound(text: str) -> tuple[str]:
-    """Exclusive composite-key bound covering every entry for ``text``."""
-    return (text + "\x00",)
-
-
 # -- byte encodings ------------------------------------------------------------
 
 
@@ -107,9 +101,7 @@ def text_prefix_upper(text: str) -> bytes:
 
 
 def composite_sort_bytes(key: tuple) -> bytes:
-    """Byte search key for ``(text,)`` bounds and ``(text, FlexKey)`` entries."""
-    if len(key) == 1:
-        return escape_text(key[0])
+    """Byte search key of a ``(text, FlexKey)`` composite-index entry."""
     text, flex = key
     return escape_text(text) + flex.sort_bytes
 
@@ -122,23 +114,10 @@ def flex_sort_bytes(key: FlexKey) -> bytes:
 class NodeIndex:
     """FLEX key → node record, clustered in document order."""
 
-    def __init__(
-        self, manager: PageManager, buffer_pool: BufferPool, byte_keys: bool = True
-    ):
-        self.byte_keys = byte_keys
+    def __init__(self, manager: PageManager, buffer_pool: BufferPool):
         self.tree = BPlusTree(
-            manager,
-            buffer_pool,
-            entry_bytes=96,
-            encode=flex_sort_bytes if byte_keys else None,
+            manager, buffer_pool, encode=flex_sort_bytes, entry_bytes=96
         )
-
-    def _bound(self, key: "FlexKey | bytes | None"):
-        if key is None:
-            return None
-        if self.byte_keys:
-            return key if isinstance(key, bytes) else key.sort_bytes
-        return key
 
     def freeze(self) -> None:
         """Reject further mutation (snapshot publication, see serving)."""
@@ -164,16 +143,16 @@ class NodeIndex:
         inclusive_hi: bool = False,
         reverse: bool = False,
     ) -> Iterator[NodeRecord]:
-        scan = self.tree.scan_reverse_encoded if reverse else self.tree.scan_encoded
+        scan = self.tree.scan_reverse if reverse else self.tree.scan
         for _key, record in scan(
-            self._bound(lo), self._bound(hi), inclusive_lo, inclusive_hi
+            _flex_bound(lo), _flex_bound(hi), inclusive_lo, inclusive_hi
         ):
             yield record
 
     def count_range(
         self, lo: "FlexKey | bytes | None", hi: "FlexKey | bytes | None"
     ) -> int:
-        return self.tree.range_count_encoded(self._bound(lo), self._bound(hi))
+        return self.tree.range_count(_flex_bound(lo), _flex_bound(hi))
 
     def cursor(self) -> BTreeCursor:
         """A skip-ahead cursor over the node tree (see :class:`BTreeCursor`)."""
@@ -181,7 +160,7 @@ class NodeIndex:
 
     def get_cursor(self, cursor: BTreeCursor, key: FlexKey) -> NodeRecord | None:
         """:meth:`get` positioned through ``cursor`` (resume-friendly)."""
-        return cursor.get(self._bound(key))
+        return cursor.get(key.sort_bytes)
 
     def scan_cursor(
         self,
@@ -196,7 +175,7 @@ class NodeIndex:
         ranges resume from the pinned leaf instead of re-descending."""
         scan = cursor.scan_reverse if reverse else cursor.scan
         for _key, record in scan(
-            self._bound(lo), self._bound(hi), inclusive_lo, inclusive_hi
+            _flex_bound(lo), _flex_bound(hi), inclusive_lo, inclusive_hi
         ):
             yield record
 
@@ -207,32 +186,10 @@ class NodeIndex:
 class NameIndex:
     """(namespaced name, FLEX key) → node kind."""
 
-    def __init__(
-        self, manager: PageManager, buffer_pool: BufferPool, byte_keys: bool = True
-    ):
-        self.byte_keys = byte_keys
+    def __init__(self, manager: PageManager, buffer_pool: BufferPool):
         self.tree = BPlusTree(
-            manager,
-            buffer_pool,
-            entry_bytes=56,
-            encode=composite_sort_bytes if byte_keys else None,
+            manager, buffer_pool, encode=composite_sort_bytes, entry_bytes=56
         )
-
-    def _bounds(
-        self,
-        name: str,
-        lo: "FlexKey | bytes | None",
-        hi: "FlexKey | bytes | None",
-    ) -> tuple:
-        """Search-space [lo, hi) bounds for ``name`` entries in a key range."""
-        if self.byte_keys:
-            prefix = escape_text(name)
-            low = prefix if lo is None else prefix + _flex_bytes(lo)
-            high = text_prefix_upper(name) if hi is None else prefix + _flex_bytes(hi)
-            return low, high
-        low = (name,) if lo is None else (name, lo)
-        high = _upper_bound(name) if hi is None else (name, hi)
-        return low, high
 
     def freeze(self) -> None:
         """Reject further mutation (snapshot publication, see serving)."""
@@ -249,8 +206,8 @@ class NameIndex:
 
     def count(self, name: str) -> int:
         """How many nodes carry this index name — O(log n), no data touched."""
-        low, high = self._bounds(name, None, None)
-        return self.tree.range_count_encoded(low, high)
+        low, high = text_bounds(name)
+        return self.tree.range_count(low, high)
 
     def count_between(
         self,
@@ -260,8 +217,8 @@ class NameIndex:
         inclusive_lo: bool = True,
     ) -> int:
         """Count entries for ``name`` with FLEX keys in [lo, hi)."""
-        low, high = self._bounds(name, lo, hi)
-        return self.tree.range_count_encoded(
+        low, high = text_bounds(name, lo, hi)
+        return self.tree.range_count(
             low, high, inclusive_lo=lo is None or inclusive_lo
         )
 
@@ -274,25 +231,14 @@ class NameIndex:
         reverse: bool = False,
     ) -> Iterator[tuple[FlexKey, NodeKind]]:
         """All keys for ``name`` within [lo, hi), forward or reverse."""
-        low, high = self._bounds(name, lo, hi)
-        scan = self.tree.scan_reverse_encoded if reverse else self.tree.scan_encoded
+        low, high = text_bounds(name, lo, hi)
+        scan = self.tree.scan_reverse if reverse else self.tree.scan
         for (_name, key), kind in scan(low, high, inclusive_lo, False):
             yield key, kind
 
     def cursor(self) -> BTreeCursor:
         """A skip-ahead cursor over the name tree (see :class:`BTreeCursor`)."""
         return BTreeCursor(self.tree)
-
-    def search_bounds(
-        self,
-        name: str,
-        lo: "FlexKey | bytes | None" = None,
-        hi: "FlexKey | bytes | None" = None,
-    ) -> tuple:
-        """Public search-space bounds for ``name`` entries in a key range —
-        what cursor-driven callers feed to :meth:`scan_cursor` /
-        :meth:`BTreeCursor.past`."""
-        return self._bounds(name, lo, hi)
 
     def scan_cursor(
         self,
@@ -304,7 +250,7 @@ class NameIndex:
         reverse: bool = False,
     ) -> Iterator[tuple[FlexKey, NodeKind]]:
         """:meth:`scan`, but positioned through ``cursor`` (leaf resume)."""
-        low, high = self._bounds(name, lo, hi)
+        low, high = text_bounds(name, lo, hi)
         scan = cursor.scan_reverse if reverse else cursor.scan
         for (_name, key), kind in scan(low, high, inclusive_lo, False):
             yield key, kind
@@ -326,8 +272,8 @@ class NameIndex:
         while entry is not None:
             name = entry[0][0]
             yield name
-            _low, high = self._bounds(name, None, None)
-            entry = next(iter(self.tree.scan_encoded(high, None, True, False)), None)
+            _low, high = text_bounds(name)
+            entry = next(iter(self.tree.scan(high, None, True, False)), None)
 
     def __len__(self) -> int:
         return len(self.tree)
@@ -336,15 +282,9 @@ class NameIndex:
 class ValueIndex:
     """(text value, FLEX key) → node kind, for text and attribute nodes."""
 
-    def __init__(
-        self, manager: PageManager, buffer_pool: BufferPool, byte_keys: bool = True
-    ):
-        self.byte_keys = byte_keys
+    def __init__(self, manager: PageManager, buffer_pool: BufferPool):
         self.tree = BPlusTree(
-            manager,
-            buffer_pool,
-            entry_bytes=72,
-            encode=composite_sort_bytes if byte_keys else None,
+            manager, buffer_pool, encode=composite_sort_bytes, entry_bytes=72
         )
 
     def freeze(self) -> None:
@@ -362,11 +302,7 @@ class ValueIndex:
 
     def text_count(self, value: str) -> int:
         """TC(value): exact occurrence count — O(log n), index-only."""
-        if self.byte_keys:
-            return self.tree.range_count_encoded(
-                escape_text(value), text_prefix_upper(value)
-            )
-        return self.tree.range_count((value,), _upper_bound(value))
+        return self.tree.range_count(escape_text(value), text_prefix_upper(value))
 
     def scan(
         self,
@@ -375,15 +311,8 @@ class ValueIndex:
         hi: "FlexKey | bytes | None" = None,
         reverse: bool = False,
     ) -> Iterator[tuple[FlexKey, NodeKind]]:
-        if self.byte_keys:
-            prefix = escape_text(value)
-            low = prefix if lo is None else prefix + _flex_bytes(lo)
-            high = text_prefix_upper(value) if hi is None else prefix + _flex_bytes(hi)
-            scan = self.tree.scan_reverse_encoded if reverse else self.tree.scan_encoded
-        else:
-            low = (value,) if lo is None else (value, lo)
-            high = _upper_bound(value) if hi is None else (value, hi)
-            scan = self.tree.scan_reverse if reverse else self.tree.scan
+        low, high = text_bounds(value, lo, hi)
+        scan = self.tree.scan_reverse if reverse else self.tree.scan
         for (_value, key), kind in scan(low, high, True, False):
             yield key, kind
 
@@ -391,55 +320,45 @@ class ValueIndex:
         self, low_value: str | None, high_value: str | None, inclusive: bool = True
     ) -> Iterator[tuple[str, FlexKey, NodeKind]]:
         """Entries for values in a string range (supports range predicates)."""
-        if self.byte_keys:
-            lo = None if low_value is None else escape_text(low_value)
-            hi = (
-                None
-                if high_value is None
-                else text_prefix_upper(high_value)
-                if inclusive
-                else escape_text(high_value)
-            )
-            entries = self.tree.scan_encoded(lo, hi)
-        else:
-            lo = None if low_value is None else (low_value,)
-            hi = (
-                None
-                if high_value is None
-                else _upper_bound(high_value)
-                if inclusive
-                else (high_value,)
-            )
-            entries = self.tree.scan(lo, hi)
-        for (value, key), kind in entries:
+        lo, hi = _value_range_bounds(low_value, high_value, inclusive)
+        for (value, key), kind in self.tree.scan(lo, hi):
             yield value, key, kind
 
     def count_value_range(
         self, low_value: str | None, high_value: str | None, inclusive: bool = True
     ) -> int:
-        if self.byte_keys:
-            lo = None if low_value is None else escape_text(low_value)
-            hi = (
-                None
-                if high_value is None
-                else text_prefix_upper(high_value)
-                if inclusive
-                else escape_text(high_value)
-            )
-            return self.tree.range_count_encoded(lo, hi)
-        lo = None if low_value is None else (low_value,)
-        hi = (
-            None
-            if high_value is None
-            else _upper_bound(high_value)
-            if inclusive
-            else (high_value,)
+        return self.tree.range_count(
+            *_value_range_bounds(low_value, high_value, inclusive)
         )
-        return self.tree.range_count(lo, hi)
 
     def __len__(self) -> int:
         return len(self.tree)
 
 
-def _flex_bytes(bound: "FlexKey | bytes") -> bytes:
-    return bound if isinstance(bound, bytes) else bound.sort_bytes
+def _flex_bound(bound: "FlexKey | bytes | None") -> bytes | None:
+    """A FLEX-key range bound in search-key space."""
+    if bound is None or isinstance(bound, bytes):
+        return bound
+    return bound.sort_bytes
+
+
+def text_bounds(
+    text: str,
+    lo: "FlexKey | bytes | None" = None,
+    hi: "FlexKey | bytes | None" = None,
+) -> tuple[bytes, bytes]:
+    """Composite [lo, hi) search bounds for ``text`` entries in a key range."""
+    prefix = escape_text(text)
+    low = prefix if lo is None else prefix + _flex_bound(lo)
+    high = text_prefix_upper(text) if hi is None else prefix + _flex_bound(hi)
+    return low, high
+
+
+def _value_range_bounds(
+    low_value: str | None, high_value: str | None, inclusive: bool
+) -> tuple[bytes | None, bytes | None]:
+    """Search bounds covering every entry for values in a string range."""
+    lo = None if low_value is None else escape_text(low_value)
+    if high_value is None:
+        return lo, None
+    return lo, text_prefix_upper(high_value) if inclusive else escape_text(high_value)

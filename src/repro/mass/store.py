@@ -21,7 +21,13 @@ from typing import Iterator
 from repro.errors import StorageError
 from repro.mass.axes import AxisHit, axis_count_upper, axis_iter
 from repro.mass.flexkey import FlexKey
-from repro.mass.indexes import NameIndex, NodeIndex, ValueIndex, index_name_for
+from repro.mass.indexes import (
+    NameIndex,
+    NodeIndex,
+    ValueIndex,
+    escape_text,
+    index_name_for,
+)
 from repro.mass.pages import BufferPool, PageManager
 from repro.mass.records import NodeKind, NodeRecord
 from repro.mass.stats import StoreMetrics, StoreStatistics
@@ -40,15 +46,13 @@ class MassStore:
         name: str = "document",
         page_size: int = 4096,
         buffer_capacity: int | None = 4096,
-        byte_keys: bool = True,
     ):
         self.name = name
-        self.byte_keys = byte_keys
         self.pages = PageManager(page_size)
         self.buffer = BufferPool(self.pages, capacity=buffer_capacity)
-        self.node_index = NodeIndex(self.pages, self.buffer, byte_keys=byte_keys)
-        self.name_index = NameIndex(self.pages, self.buffer, byte_keys=byte_keys)
-        self.value_index = ValueIndex(self.pages, self.buffer, byte_keys=byte_keys)
+        self.node_index = NodeIndex(self.pages, self.buffer)
+        self.name_index = NameIndex(self.pages, self.buffer)
+        self.value_index = ValueIndex(self.pages, self.buffer)
         self.metrics = StoreMetrics()
         #: Monotonic modification epoch: bumped by every load, insert and
         #: delete.  Caches keyed on ``(store content, ...)`` — the engine's
@@ -97,7 +101,6 @@ class MassStore:
             name=name or self.name,
             page_size=self.pages.page_size,
             buffer_capacity=self.buffer.capacity,
-            byte_keys=self.byte_keys,
         )
         if records:
             twin.bulk_load(records)
@@ -157,8 +160,9 @@ class MassStore:
     ) -> Iterator[AxisHit]:
         """Iterate ``axis::test`` from ``context`` (see :mod:`repro.mass.axes`).
 
-        ``cursors`` (a :class:`~repro.mass.axes.ScanCursors`) lets runs of
-        nearby scans resume from a pinned leaf instead of re-descending.
+        Passing one ``cursors`` (a :class:`~repro.mass.axes.ScanCursors`)
+        to a run of nearby scans lets each resume from the previous one's
+        pinned leaf instead of re-descending.
         """
         self.metrics.axis_requests += 1
         return axis_iter(self, context, axis, test, cursors)
@@ -240,7 +244,9 @@ class MassStore:
                 self.name_index.count("#text")
                 + self.name_index.count("#comment")
             )
-            prefixed = self.name_index.tree.range_count(("?",), ("A",))
+            prefixed = self.name_index.tree.range_count(
+                escape_text("?"), escape_text("A")
+            )
             return len(self.name_index) - reserved - prefixed
         total = 0
         for record in self.node_index.scan(None, None):

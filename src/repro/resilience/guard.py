@@ -1,11 +1,11 @@
 """Per-query resource governor.
 
 The paper's scalability claim rests on operators that bound the work per
-``next_tuple``/``next_block`` call; :class:`QueryGuard` turns that
+``next_block`` call; :class:`QueryGuard` turns that
 property into an operational guarantee.  One guard travels with a query
 through every pipelined operator (and into predicate sub-plans via the
 expression evaluator / :class:`~repro.algebra.execution.EvalContext`),
-and each ``next_tuple`` and ``next_block`` — plus every predicate
+and each ``next_block`` — plus every predicate
 candidate, plus every 64 entries of a coalesced batch scan — calls
 :meth:`QueryGuard.checkpoint`.  Because no operator does unbounded work
 between checkpoints, a violated limit surfaces within a bounded number of
@@ -135,7 +135,7 @@ class QueryGuard:
     def checkpoint(self) -> None:
         """Raise the matching typed error if any limit is violated.
 
-        Called from every ``Operator.next_tuple``/``next_block`` and once per predicate
+        Called from every ``Operator.next_block`` and once per predicate
         candidate, so it must stay cheap: a few attribute loads and
         comparisons, one clock read when a deadline is set.
         """

@@ -119,7 +119,6 @@ class QueryServer:
         shed_policy: str = "reject",
         degrade_page_budget: int = 256,
         on_error: str = "capture",
-        engine_options: dict | None = None,
         fault_injector: FaultInjector | None = None,
         clock: Callable[[], float] = time.monotonic,
     ):
@@ -139,9 +138,7 @@ class QueryServer:
         self.default_on_error = on_error
         self.fault_injector = fault_injector
         self.clock = clock
-        self.manager = SnapshotManager(
-            store, engine_options=engine_options, fault_injector=fault_injector
-        )
+        self.manager = SnapshotManager(store, fault_injector=fault_injector)
         self.admission = AdmissionController(
             max_concurrency=workers,
             max_queue_depth=(

@@ -128,11 +128,9 @@ class SnapshotManager:
     def __init__(
         self,
         store: MassStore,
-        engine_options: dict | None = None,
         fault_injector: FaultInjector | None = None,
         tracer: Callable[[dict], None] | None = None,
     ):
-        self._engine_options = dict(engine_options or {})
         self.fault_injector = fault_injector
         #: Optional lifecycle probe: called with one dict per event
         #: (acquire/release/publish/...), always while ``_lock`` is held,
@@ -140,9 +138,7 @@ class SnapshotManager:
         #: checker replays against the snapshot model.
         self.tracer = tracer
         store.freeze()
-        self._current = StoreVersion(
-            store, VamanaEngine(store, **self._engine_options)
-        )
+        self._current = StoreVersion(store, VamanaEngine(store))
         #: Guards the version pointer, refcounts and counters.
         self._lock = threading.Lock()
         #: Serializes writers: one clone+mutate+swap at a time.
@@ -256,9 +252,7 @@ class SnapshotManager:
                         )
                 raise
             clone.freeze()
-            version = StoreVersion(
-                clone, VamanaEngine(clone, **self._engine_options)
-            )
+            version = StoreVersion(clone, VamanaEngine(clone))
             with self._lock:
                 old = self._current
                 self._current = version

@@ -393,7 +393,6 @@ def build_subtree_shards(
             name=store.name,
             page_size=store.pages.page_size,
             buffer_capacity=store.buffer.capacity,
-            byte_keys=store.byte_keys,
         )
         shard_store.bulk_load(slice_records)
         subdir = f"shard-{shard_id:03d}"

@@ -129,3 +129,16 @@ class TestPipelineBehaviour:
     def test_results_are_keys(self, small_store):
         for key in execute_plan(build_default_plan("//name"), small_store):
             assert isinstance(key, FlexKey)
+
+    def test_predicate_sub_plans_resume_across_candidates(self, xmark_store):
+        """A predicate path's operators (and their cursors) are built once
+        per execution: the candidates of ``//person[address]`` arrive in
+        document order, so each child scan resumes the previous one's."""
+        plan = build_default_plan("//person[address]")
+        persons = count(xmark_store, "//person")
+        xmark_store.reset_metrics()
+        kept = len(list(execute_plan(plan, xmark_store)))
+        snapshot = xmark_store.io_snapshot()
+        assert 0 < kept < persons
+        assert snapshot["root_descents"] <= persons // 4
+        assert snapshot["cursor_resumes"] >= persons // 2

@@ -8,9 +8,10 @@ Covers the three layers of the fusion stack separately:
 * :class:`PathFusionRule` matching — which chains fuse, which are left
   untouched (predicates, reverse axes, short chains, non-distinct roots),
   and that the rewrite preserves step order;
-* end-to-end equivalence — ``VamanaEngine(fused=True)`` returns byte-
-  identical key sequences to the unfused engine, under guards, across
-  store mutations, and through the ``count()`` fast path.
+* end-to-end equivalence — the default engine (fusion rule enabled)
+  returns byte-identical key sequences to an engine whose ``rules`` omit
+  :class:`PathFusionRule`, under guards, across store mutations, and
+  through the ``count()`` fast path.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from repro.mass.records import NodeKind
 from repro.model import Axis, NodeTest
 from repro.engine.engine import VamanaEngine
 from repro.algebra.builder import build_default_plan
-from repro.algebra.execution import BlockConfig
 from repro.algebra.fused import (
     FusedPathScanOperator,
     PathAutomaton,
@@ -32,7 +32,7 @@ from repro.algebra.fused import (
 from repro.algebra.plan import FusedPathScanNode, StepNode
 from repro.analysis.plan_verifier import verify_plan
 from repro.optimizer.cleanup import cleanup_plan
-from repro.optimizer.rules import PathFusionRule
+from repro.optimizer.rules import DEFAULT_RULES, PathFusionRule
 from repro.xmark.generator import generate_document
 
 DOC = """<site><people>
@@ -198,6 +198,16 @@ QUERIES = [
 ]
 
 
+UNFUSED_RULES = tuple(
+    rule for rule in DEFAULT_RULES if not isinstance(rule, PathFusionRule)
+)
+
+
+def _engine_pair(store):
+    """(unfused, fused): the same store with and without the fusion rule."""
+    return VamanaEngine(store, rules=UNFUSED_RULES), VamanaEngine(store)
+
+
 def _keys(engine, query, **kwargs):
     return list(engine.evaluate(query, **kwargs).keys)
 
@@ -206,15 +216,11 @@ class TestEngineEquivalence:
     @pytest.fixture(scope="class")
     def xmark_pair(self):
         store = load_xml(generate_document(0.005, seed=42), name="fused-xmark")
-        return (
-            VamanaEngine(store, fused=False),
-            VamanaEngine(store, fused=True),
-        )
+        return _engine_pair(store)
 
     @pytest.mark.parametrize("query", QUERIES)
     def test_small_doc_parity(self, store, query):
-        unfused = VamanaEngine(store, fused=False)
-        fused = VamanaEngine(store, fused=True)
+        unfused, fused = _engine_pair(store)
         assert _keys(fused, query) == _keys(unfused, query)
 
     @pytest.mark.parametrize("query", QUERIES)
@@ -236,16 +242,20 @@ class TestEngineEquivalence:
             plan, _trace = fused.plan(query)
             verify_plan(plan)
 
-    def test_tuple_mode_also_runs_fused_plans(self, store):
-        tuple_engine = VamanaEngine(store, batched=False, fused=True)
-        batched_engine = VamanaEngine(store, batched=True, fused=True)
+    def test_unfused_engine_never_plans_a_fused_scan(self, xmark_pair):
+        unfused, fused = xmark_pair
+        plans = [fused.plan(query)[0] for query in QUERIES]
+        assert any(
+            isinstance(node, FusedPathScanNode) for plan in plans for node in plan.walk()
+        )
         for query in QUERIES:
-            assert _keys(tuple_engine, query) == _keys(batched_engine, query)
+            plan, _trace = unfused.plan(query)
+            assert not any(isinstance(n, FusedPathScanNode) for n in plan.walk())
 
 
 class TestMutationSafety:
     def test_insert_is_visible_to_the_next_fused_query(self, store):
-        engine = VamanaEngine(store, fused=True)
+        engine = VamanaEngine(store)
         before = engine.evaluate("//node()//text()")
         site = next(iter(store.node_index.scan(None, None))).key
         store.insert_element(site.child(0), "person", text="Cyd")
@@ -260,9 +270,7 @@ class TestMutationSafety:
             (Axis.DESCENDANT, NodeTest.node()),
             (Axis.DESCENDANT, NodeTest.text()),
         ])
-        operator = FusedPathScanOperator(
-            store, node, [], block=BlockConfig(enabled=True, size=2, coalesce=True)
-        )
+        operator = FusedPathScanOperator(store, node, [])
         from repro.mass.flexkey import FlexKey
 
         operator.reset(FlexKey.document())
@@ -278,7 +286,7 @@ class TestMutationSafety:
                 break
         images = [key.sort_bytes for key in emitted]
         assert images == sorted(set(images))  # document order, no duplicates
-        fresh = VamanaEngine(store, fused=True).evaluate("//node()//text()")
+        fresh = VamanaEngine(store).evaluate("//node()//text()")
         assert set(images) <= {key.sort_bytes for key in fresh.keys}
 
 
@@ -294,9 +302,8 @@ class TestCountFastPathParity:
     )
     def test_count_fast_path_is_fusion_blind(self, store, path):
         # count() goes through the expression fast path, which never
-        # plans — the fusion knob must not change its answer.
-        fused = VamanaEngine(store, fused=True)
-        unfused = VamanaEngine(store, fused=False)
+        # plans — the fusion rule must not change its answer.
+        unfused, fused = _engine_pair(store)
         assert (
             fused.evaluate_value(f"count({path})")
             == unfused.evaluate_value(f"count({path})")
@@ -306,6 +313,6 @@ class TestCountFastPathParity:
     def test_count_agrees_with_materialized_fused_result(self, store, path):
         # On non-overlapping context chains the fast count is exact and
         # must equal the fused plan's materialized cardinality.
-        fused = VamanaEngine(store, fused=True)
+        fused = VamanaEngine(store)
         materialized = float(len(fused.evaluate(path)))
         assert fused.evaluate_value(f"count({path})") == materialized

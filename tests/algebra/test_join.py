@@ -90,7 +90,7 @@ class TestJoinPlumbing:
         operator = build_operators(store, plan.root).child
         operator.reset(FlexKey.document())
         assert operator.state is OperatorState.INITIAL
-        assert operator.next_tuple() is not None
+        assert operator.next_block(1)
         assert operator.state is OperatorState.FETCHING
         list(operator.iterate())
         assert operator.state is OperatorState.OUT_OF_TUPLES

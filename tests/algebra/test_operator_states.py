@@ -45,14 +45,14 @@ class TestStateTransitions:
     def test_fetching_while_tuples_remain(self, store):
         operator = operator_for(store, "//person")
         operator.reset(FlexKey.document())
-        assert operator.next_tuple() is not None
+        assert operator.next_block(1)
         assert operator.state is OperatorState.FETCHING
         assert operator.child.state is OperatorState.FETCHING
 
     def test_out_of_tuples_at_exhaustion(self, store):
         operator = operator_for(store, "//person")
         operator.reset(FlexKey.document())
-        while operator.next_tuple() is not None:
+        while operator.next_block(1):
             pass
         assert operator.state is OperatorState.OUT_OF_TUPLES
         assert operator.child.state is OperatorState.OUT_OF_TUPLES
@@ -61,8 +61,8 @@ class TestStateTransitions:
         operator = operator_for(store, "//person")
         operator.reset(FlexKey.document())
         list(operator.iterate())
-        assert operator.next_tuple() is None
-        assert operator.next_tuple() is None
+        assert operator.next_block(1) == []
+        assert operator.next_block(1) == []
 
     def test_reset_rearms(self, store):
         operator = operator_for(store, "//person")
@@ -75,7 +75,7 @@ class TestStateTransitions:
     def test_empty_result_goes_straight_out(self, store):
         operator = operator_for(store, "//missing")
         operator.reset(FlexKey.document())
-        assert operator.next_tuple() is None
+        assert operator.next_block(1) == []
         assert operator.state is OperatorState.OUT_OF_TUPLES
 
     def test_non_leaf_pulls_context_on_demand(self, store):
@@ -85,8 +85,8 @@ class TestStateTransitions:
         step = operator.child  # name step
         leaf = step.context_child  # person step
         assert leaf.state is OperatorState.INITIAL
-        first = operator.next_tuple()
-        assert first is not None
+        first = operator.next_block(1)
+        assert first
         assert leaf.state is OperatorState.FETCHING
         # person leaf must not be exhausted after the first name
         assert leaf.state is not OperatorState.OUT_OF_TUPLES
@@ -123,15 +123,15 @@ class TestOperatorKinds:
         operator = ValueStepOperator(store, "Ada", [])
         operator.reset(FlexKey.document())
         assert operator.state is OperatorState.INITIAL
-        assert operator.next_tuple() is not None
+        assert operator.next_block(1)
         assert operator.state is OperatorState.FETCHING
-        assert operator.next_tuple() is None
+        assert operator.next_block(1) == []
         assert operator.state is OperatorState.OUT_OF_TUPLES
 
     def test_value_step_unarmed_without_context(self, store):
         operator = ValueStepOperator(store, "Ada", [])
         operator.reset(None)
-        assert operator.next_tuple() is None
+        assert operator.next_block(1) == []
 
 
 class TestFigure11Walkthrough:

@@ -42,56 +42,6 @@ class TestShippedTreeIsClean:
 
 
 class TestGuardCheckpoint:
-    def test_missing_checkpoint_is_flagged(self, tmp_path):
-        violations = _lint_source(
-            tmp_path,
-            """
-            class ScanOperator:
-                def next_tuple(self):
-                    return self.source.pop()
-            """,
-        )
-        assert _rules(violations) == ["VAM001"]
-        assert "never calls" in violations[0].message
-
-    def test_emit_before_checkpoint_is_flagged(self, tmp_path):
-        violations = _lint_source(
-            tmp_path,
-            """
-            class ScanOperator:
-                def next_tuple(self):
-                    if self.buffered:
-                        return self.buffered.pop()
-                    self.guard.checkpoint()
-                    return self.advance()
-            """,
-        )
-        assert _rules(violations) == ["VAM001"]
-        assert "before its first guard.checkpoint()" in violations[0].message
-
-    def test_checkpoint_first_is_clean(self, tmp_path):
-        violations = _lint_source(
-            tmp_path,
-            """
-            class ScanOperator:
-                def next_tuple(self):
-                    self.guard.checkpoint()
-                    return self.advance()
-            """,
-        )
-        assert violations == []
-
-    def test_raise_only_base_class_is_exempt(self, tmp_path):
-        violations = _lint_source(
-            tmp_path,
-            """
-            class PlanOperator:
-                def next_tuple(self):
-                    raise NotImplementedError
-            """,
-        )
-        assert violations == []
-
     def test_next_block_missing_checkpoint_is_flagged(self, tmp_path):
         violations = _lint_source(
             tmp_path,
@@ -559,8 +509,8 @@ class TestDriver:
         bad = tmp_path / "bad.py"
         bad.write_text(
             "class ScanOperator:\n"
-            "    def next_tuple(self):\n"
-            "        return 1\n",
+            "    def next_block(self, max_n):\n"
+            "        return [1]\n",
             encoding="utf-8",
         )
         assert main([str(tmp_path)]) == 1

@@ -103,7 +103,7 @@ class TestPropertyInference:
         assert props[probe.op_id].context_dependent
 
     def test_every_compiled_paper_query_is_guard_threaded(self):
-        from repro.bench.hotpath import PAPER_QUERIES
+        from repro.bench.corpus import PAPER_QUERIES
 
         for query in PAPER_QUERIES.values():
             plan = build_default_plan(query)
@@ -120,7 +120,7 @@ class TestPropertyInference:
 
 class TestStructuralInvariants:
     def test_default_plans_verify_clean(self):
-        from repro.bench.hotpath import PAPER_QUERIES
+        from repro.bench.corpus import PAPER_QUERIES
 
         verifier = PlanVerifier()
         for query in PAPER_QUERIES.values():

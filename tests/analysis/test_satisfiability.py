@@ -6,7 +6,7 @@ import pytest
 
 from repro.mass.loader import load_xml
 from repro.mass.records import NodeKind
-from repro.bench.hotpath import PAPER_QUERIES
+from repro.bench.corpus import PAPER_QUERIES
 from repro.engine.engine import VamanaEngine
 from repro.xmark import vocabulary
 from repro.xpath.parser import parse_xpath

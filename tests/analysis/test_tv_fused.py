@@ -2,10 +2,9 @@
 
 The fusion rewrite is forced (bypassing the cost gate) at every matching
 site of a family of chain queries, and on **every** document of the
-quick TV corpus the fused plan must agree with the unfused plan, across
-the tuple and batched pipelines, and with the DOM baseline — the same
-discipline ``repro verify-rules`` applies, focused on the fusion rule
-with guards exercised both off and on.
+quick TV corpus the fused plan must agree with the unfused plan and with
+the DOM baseline — the same discipline ``repro verify-rules`` applies,
+focused on the fusion rule with guards exercised both off and on.
 """
 
 from __future__ import annotations
@@ -19,10 +18,10 @@ from repro.algebra.builder import build_default_plan
 from repro.algebra.execution import execute_plan, dedup_document_order
 from repro.algebra.plan import FusedPathScanNode, QueryPlan
 from repro.analysis.tv.oracle import (
-    MODES,
+    ORACLE_BLOCK_SIZE,
     dom_key_map,
     dom_reference,
-    evaluate_modes,
+    evaluate_plan,
 )
 from repro.analysis.tv.runner import corpus
 from repro.optimizer.cleanup import cleanup_plan
@@ -77,11 +76,9 @@ def test_fused_plans_agree_with_unfused_and_dom(pairs, documents):
         key_map = dom_key_map(document)
         for expression, plan, fused in pairs:
             reference = dom_reference(expression, document, key_map)
-            before = evaluate_modes(plan, store)
-            after = evaluate_modes(fused, store)
-            for mode, _block in MODES:
-                if before[mode] != after[mode] or after[mode] != reference:
-                    failures.append((xml_text, expression, mode))
+            after = evaluate_plan(fused, store)
+            if evaluate_plan(plan, store) != after or after != reference:
+                failures.append((xml_text, expression))
     assert not failures, failures[:5]
 
 
@@ -93,17 +90,21 @@ def test_fused_plans_agree_under_guards(pairs, documents):
     for xml_text in documents[::7]:
         store = load_xml(xml_text, name="tv-fused-guard")
         for expression, plan, fused in pairs:
-            for mode, block in MODES:
+            results = []
+            for candidate in (plan, fused):
                 guard = QueryGuard(timeout_ms=60_000, max_pages=50_000_000)
-                before = dedup_document_order(
-                    list(execute_plan(plan, store, guard=guard, block=block))
+                results.append(
+                    dedup_document_order(
+                        list(
+                            execute_plan(
+                                candidate, store, guard=guard,
+                                block_size=ORACLE_BLOCK_SIZE,
+                            )
+                        )
+                    )
                 )
-                guard = QueryGuard(timeout_ms=60_000, max_pages=50_000_000)
-                after = dedup_document_order(
-                    list(execute_plan(fused, store, guard=guard, block=block))
-                )
-                if before != after:
-                    failures.append((xml_text, expression, mode))
+            if results[0] != results[1]:
+                failures.append((xml_text, expression))
     assert not failures, failures[:5]
 
 
@@ -114,7 +115,7 @@ def test_result_guard_trips_on_fused_scans(documents):
     from repro.engine.engine import VamanaEngine
 
     store = load_xml(documents[-1], name="tv-fused-trip")
-    engine = VamanaEngine(store, fused=True)
+    engine = VamanaEngine(store)
     full = engine.evaluate("//person//node()")
     if len(full) < 2:
         pytest.skip("corpus tail document too small to trip the guard")

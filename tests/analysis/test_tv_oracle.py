@@ -15,7 +15,7 @@ from repro.analysis.tv.oracle import (
     compare_sequences,
     dom_key_map,
     dom_reference,
-    evaluate_modes,
+    evaluate_plan,
 )
 from repro.errors import PlanInvariantError
 from repro.optimizer.cleanup import cleanup_plan
@@ -59,11 +59,11 @@ class TestDomKeyBridge:
         reference = dom_reference("//person/name", document, mapping)
         plan = build_default_plan("//person/name")
         cleanup_plan(plan)
-        results = evaluate_modes(plan, store)
-        assert compare_sequences("x", results["tuple"], reference) is None
+        result = evaluate_plan(plan, store)
+        assert compare_sequences("x", result, reference) is None
 
 
-class TestModeCrossCheck:
+class TestPlanCrossCheck:
     @pytest.mark.parametrize(
         "expression",
         ["//person", "//person/name", "//people/person[1]",

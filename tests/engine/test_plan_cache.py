@@ -56,6 +56,7 @@ class TestLru:
         engine.plan("//person", optimize=False)
         engine.plan("//person", optimize=True)
         assert engine.plan_cache_misses == 2
+        assert set(engine._plan_cache) == {("//person", False), ("//person", True)}
 
     def test_zero_capacity_never_caches(self, store):
         engine = VamanaEngine(store, plan_cache_size=0)
@@ -132,103 +133,3 @@ class TestEpochInvalidation:
         after = engine.evaluate("//person")
         assert after.metrics.plan_cache_misses == 1
         assert len(after) == 1
-
-
-class TestPipelineKnobKeying:
-    """The batched/block-size knobs are part of the plan-cache key.
-
-    Plans memoize their block configuration (``_block_config_hint``);
-    serving a plan cached under different pipeline knobs would replay a
-    stale configuration.  Toggling either knob must therefore miss.
-    """
-
-    def test_toggling_batched_misses(self, engine):
-        engine.plan("//person")
-        engine.batched = False
-        engine.plan("//person")
-        assert (engine.plan_cache_hits, engine.plan_cache_misses) == (0, 2)
-        engine.batched = True
-        engine.plan("//person")
-        assert engine.plan_cache_hits == 1  # original entry still cached
-
-    def test_changing_block_size_misses(self, engine):
-        engine.plan("//person")
-        engine.block_size = 2
-        engine.plan("//person")
-        engine.block_size = 64
-        engine.plan("//person")
-        assert (engine.plan_cache_hits, engine.plan_cache_misses) == (0, 3)
-
-    def test_executed_block_config_tracks_live_knobs(self, store, monkeypatch):
-        """The config actually handed to execute_plan follows the knobs
-        even when the expression was first planned under other knobs."""
-        import repro.engine.engine as engine_module
-
-        engine = VamanaEngine(store)
-        seen = []
-        real_execute = engine_module.execute_plan
-
-        def spy(plan, store, context=None, **kwargs):
-            seen.append(kwargs["block"])
-            return real_execute(plan, store, context, **kwargs)
-
-        monkeypatch.setattr(engine_module, "execute_plan", spy)
-        engine.evaluate("//person")                    # batched, auto size
-        engine.block_size = 3
-        engine.evaluate("//person")                    # batched, pinned size
-        engine.batched = False
-        engine.evaluate("//person")                    # tuple-at-a-time
-        assert seen[0].enabled
-        assert (seen[1].enabled, seen[1].size) == (True, 3)
-        assert not seen[2].enabled
-
-
-class TestFusionKnobKeying:
-    """The ``fused`` knob is part of the plan-cache key.
-
-    A plan optimized with path fusion contains a ``FusedPathScanNode``
-    the unfused pipeline must never be handed (and vice versa), so
-    toggling the engine knob — or overriding it per query — must miss
-    rather than serve the other configuration's plan.
-    """
-
-    def test_toggling_fused_misses(self, engine):
-        engine.plan("//person/name")
-        engine.fused = False
-        engine.plan("//person/name")
-        assert (engine.plan_cache_hits, engine.plan_cache_misses) == (0, 2)
-        engine.fused = True
-        engine.plan("//person/name")
-        assert engine.plan_cache_hits == 1  # original entry still cached
-
-    def test_per_query_override_is_part_of_the_key(self, engine):
-        engine.plan("//person/name")               # engine default (fused)
-        engine.plan("//person/name", fused=False)  # override: distinct entry
-        assert (engine.plan_cache_hits, engine.plan_cache_misses) == (0, 2)
-        engine.plan("//person/name", fused=True)   # same as the default entry
-        engine.plan("//person/name")
-        assert engine.plan_cache_hits == 2
-
-    def test_override_plans_differ_in_shape(self, store):
-        from repro.algebra.plan import FusedPathScanNode
-
-        engine = VamanaEngine(store)
-        fused_plan, _ = engine.plan("//node()//text()", fused=True)
-        unfused_plan, _ = engine.plan("//node()//text()", fused=False)
-        assert any(
-            isinstance(node, FusedPathScanNode) for node in fused_plan.walk()
-        )
-        assert not any(
-            isinstance(node, FusedPathScanNode) for node in unfused_plan.walk()
-        )
-
-    def test_unfused_engine_never_builds_fused_plans(self, store):
-        from repro.algebra.plan import FusedPathScanNode
-
-        engine = VamanaEngine(store, fused=False)
-        plan, _ = engine.plan("//node()//text()")
-        assert not any(
-            isinstance(node, FusedPathScanNode) for node in plan.walk()
-        )
-        result = engine.evaluate("//node()//text()")
-        assert result.metrics.plan_cache_hits == 1  # same key as plan() above

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import repro
 
 
@@ -22,6 +24,18 @@ def test_end_to_end_through_public_api_only():
     plan = repro.build_default_plan("//person")
     optimized, trace = repro.optimize_plan(plan, store)
     assert list(repro.execute_plan(optimized, store))
+
+
+def test_constructors_expose_no_execution_mode_switches():
+    """One execution path: the engine and the store take no pipeline or
+    key-encoding knobs, so every caller runs the same configuration."""
+    assert list(inspect.signature(repro.VamanaEngine.__init__).parameters) == [
+        "self", "store", "rules", "plan_cache_size", "verify_rewrites",
+        "static_check", "validate_rewrites",
+    ]
+    assert list(inspect.signature(repro.MassStore.__init__).parameters) == [
+        "self", "name", "page_size", "buffer_capacity",
+    ]
 
 
 def test_exception_hierarchy():

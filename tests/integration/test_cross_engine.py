@@ -38,7 +38,7 @@ def pathjoin_engine(xmark_dom):
 
 def vamana_ranks(vamana, xmark_store, query, optimize):
     result = vamana.evaluate(query, optimize=optimize)
-    return sorted(xmark_store.node_index.tree.rank(key) for key in result.keys)
+    return sorted(xmark_store.node_index.tree.rank(key.sort_bytes) for key in result.keys)
 
 
 FIXED_QUERIES = [
@@ -85,6 +85,41 @@ def test_all_engines_agree(vamana, dom_engine, pathjoin_engine, xmark_store, que
     except UnsupportedFeatureError:
         return
     assert join_result == expected, "path-join engine disagrees"
+
+
+# -- value queries over multi-step paths ----------------------------------------
+#
+# A multi-step pipeline reaches the same node once per context that leads
+# to it; count() and sum() are over the node *set*.
+
+NESTED_DOC = "<a><b><c>1</c></b><b>2</b></a>"
+
+VALUE_QUERIES = [
+    ("count(//b/..)", 1.0),
+    ("count(//*//c)", 1.0),
+    ("count(//node()//text())", 2.0),
+    ("sum(//b/..)", 12.0),
+    ("sum(//*//c)", 1.0),
+    ("sum(//node()//text())", 3.0),
+]
+
+
+@pytest.mark.parametrize("query,expected", VALUE_QUERIES)
+def test_value_queries_count_each_node_once(query, expected):
+    from repro.mass.loader import load_xml
+
+    dom = DomTraversalEngine(JAXEN_PROFILE)
+    dom.load(NESTED_DOC)
+    assert dom.evaluate_value(query) == expected
+    assert VamanaEngine(load_xml(NESTED_DOC)).evaluate_value(query) == expected
+
+
+@pytest.mark.parametrize(
+    "query",
+    ["count(//node()//text())", "count(//watch/..)", "sum(//bidder/../initial)"],
+)
+def test_value_queries_agree_with_dom_on_xmark(vamana, dom_engine, query):
+    assert vamana.evaluate_value(query) == pytest.approx(dom_engine.evaluate_value(query))
 
 
 # -- randomized queries -------------------------------------------------------

@@ -71,7 +71,7 @@ class TestAxesAgainstDom:
             for axis in Axis:
                 for test in tests:
                     mass_hits = [
-                        store.node_index.tree.rank(key)
+                        store.node_index.tree.rank(key.sort_bytes)
                         for key, _rec in store.axis(record.key, axis, test)
                     ]
                     dom_hits = [
@@ -124,7 +124,7 @@ class TestAxesAgainstDom:
         vamana = VamanaEngine(store)
         for optimize in (False, True):
             got = sorted(
-                store.node_index.tree.rank(key)
+                store.node_index.tree.rank(key.sort_bytes)
                 for key in vamana.evaluate(query, optimize=optimize).keys
             )
             assert got == expected

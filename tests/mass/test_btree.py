@@ -13,10 +13,20 @@ from repro.mass.btree import BPlusTree
 from repro.mass.pages import BufferPool, PageManager
 
 
+def int_key(key: int) -> bytes:
+    """Order-preserving byte image of a (possibly negative) test key."""
+    return (key + 2**31).to_bytes(4, "big")
+
+
+def bound(key: int | None) -> bytes | None:
+    """A scan/count bound in search-key space (None stays open)."""
+    return None if key is None else int_key(key)
+
+
 def make_tree(order: int = 8, capacity: int | None = None) -> BPlusTree:
     manager = PageManager()
     pool = BufferPool(manager, capacity=capacity)
-    return BPlusTree(manager, pool, order=order)
+    return BPlusTree(manager, pool, encode=int_key, order=order)
 
 
 @pytest.fixture
@@ -40,10 +50,10 @@ class TestBasics:
 
     def test_single_entry(self):
         tree = make_tree()
-        tree.insert("k", "v")
-        assert tree.get("k") == "v"
+        tree.insert(7, "v")
+        assert tree.get(7) == "v"
         assert len(tree) == 1
-        assert tree.first() == ("k", "v") == tree.last()
+        assert tree.first() == (7, "v") == tree.last()
 
     def test_replace_value(self):
         tree = make_tree()
@@ -62,11 +72,11 @@ class TestBasics:
     def test_order_validation(self):
         manager = PageManager()
         with pytest.raises(StorageError):
-            BPlusTree(manager, BufferPool(manager), order=2)
+            BPlusTree(manager, BufferPool(manager), encode=int_key, order=2)
 
     def test_order_derived_from_page_size(self):
         manager = PageManager(page_size=4096)
-        tree = BPlusTree(manager, BufferPool(manager), entry_bytes=64)
+        tree = BPlusTree(manager, BufferPool(manager), encode=int_key, entry_bytes=64)
         assert tree.order == 64
 
     def test_height_grows(self):
@@ -88,51 +98,48 @@ class TestScans:
         assert keys == list(range(999, -1, -1))
 
     def test_range_default_half_open(self, thousand):
-        assert [k for k, _ in thousand.scan(10, 15)] == [10, 11, 12, 13, 14]
+        assert [k for k, _ in thousand.scan(bound(10), bound(15))] == [10, 11, 12, 13, 14]
 
     def test_range_exclusive_lo(self, thousand):
-        assert [k for k, _ in thousand.scan(10, 15, inclusive_lo=False)] == [11, 12, 13, 14]
+        assert [k for k, _ in thousand.scan(bound(10), bound(15), inclusive_lo=False)] == [11, 12, 13, 14]
 
     def test_range_inclusive_hi(self, thousand):
-        assert [k for k, _ in thousand.scan(10, 15, inclusive_hi=True)] == list(range(10, 16))
+        assert [k for k, _ in thousand.scan(bound(10), bound(15), inclusive_hi=True)] == list(range(10, 16))
 
     def test_reverse_range(self, thousand):
-        assert [k for k, _ in thousand.scan_reverse(10, 15)] == [14, 13, 12, 11, 10]
+        assert [k for k, _ in thousand.scan_reverse(bound(10), bound(15))] == [14, 13, 12, 11, 10]
 
     def test_reverse_range_bounds_flags(self, thousand):
-        got = [k for k, _ in thousand.scan_reverse(10, 15, inclusive_lo=False, inclusive_hi=True)]
+        got = [k for k, _ in thousand.scan_reverse(bound(10), bound(15), inclusive_lo=False, inclusive_hi=True)]
         assert got == [15, 14, 13, 12, 11]
 
     def test_scan_open_lo(self, thousand):
-        assert [k for k, _ in thousand.scan(hi=3)] == [0, 1, 2]
+        assert [k for k, _ in thousand.scan(hi=bound(3))] == [0, 1, 2]
 
     def test_scan_open_hi(self, thousand):
-        assert [k for k, _ in thousand.scan(lo=997)] == [997, 998, 999]
+        assert [k for k, _ in thousand.scan(lo=bound(997))] == [997, 998, 999]
 
     def test_scan_missing_bounds_keys(self, thousand):
         """Bounds need not be stored keys."""
         tree = make_tree()
         for key in range(0, 100, 10):
             tree.insert(key)
-        assert [k for k, _ in tree.scan(5, 35)] == [10, 20, 30]
-        assert [k for k, _ in tree.scan_reverse(5, 35)] == [30, 20, 10]
-
-    def test_seek(self, thousand):
-        assert next(iter(thousand.seek(500)))[0] == 500
+        assert [k for k, _ in tree.scan(bound(5), bound(35))] == [10, 20, 30]
+        assert [k for k, _ in tree.scan_reverse(bound(5), bound(35))] == [30, 20, 10]
 
     def test_empty_range(self, thousand):
-        assert list(thousand.scan(500, 500)) == []
+        assert list(thousand.scan(bound(500), bound(500))) == []
 
     def test_scan_values(self, thousand):
-        assert [v for _, v in thousand.scan(0, 3)] == [0, 2, 4]
+        assert [v for _, v in thousand.scan(bound(0), bound(3))] == [0, 2, 4]
 
 
 class TestCounting:
     def test_rank(self, thousand):
-        assert thousand.rank(0) == 0
-        assert thousand.rank(500) == 500
-        assert thousand.rank(500, inclusive=True) == 501
-        assert thousand.rank(10_000) == 1000
+        assert thousand.rank(bound(0)) == 0
+        assert thousand.rank(bound(500)) == 500
+        assert thousand.rank(bound(500), inclusive=True) == 501
+        assert thousand.rank(bound(10_000)) == 1000
 
     def test_range_count_matches_scan(self, thousand):
         rng = random.Random(7)
@@ -141,25 +148,25 @@ class TestCounting:
             hi = rng.randint(-10, 1010)
             if lo > hi:
                 lo, hi = hi, lo
-            expected = len(list(thousand.scan(lo, hi)))
-            assert thousand.range_count(lo, hi) == expected
+            expected = len(list(thousand.scan(bound(lo), bound(hi))))
+            assert thousand.range_count(bound(lo), bound(hi)) == expected
 
     def test_count_does_not_touch_interior_leaves(self):
         """The counted descent must visit O(height) nodes, not O(n)."""
         tree = make_tree(order=8)
         tree.bulk_load([(key, None) for key in range(10_000)])
         tree.metrics.reset()
-        tree.range_count(100, 9_900)
+        tree.range_count(bound(100), bound(9_900))
         assert tree.metrics.node_visits <= 4 * tree.height()
         assert tree.metrics.entries_scanned == 0
 
     def test_count_open_bounds(self, thousand):
         assert thousand.range_count() == 1000
-        assert thousand.range_count(lo=990) == 10
-        assert thousand.range_count(hi=10) == 10
+        assert thousand.range_count(lo=bound(990)) == 10
+        assert thousand.range_count(hi=bound(10)) == 10
 
     def test_count_inclusive_hi(self, thousand):
-        assert thousand.range_count(0, 9, inclusive_hi=True) == 10
+        assert thousand.range_count(bound(0), bound(9), inclusive_hi=True) == 10
 
 
 class TestDelete:
@@ -186,8 +193,8 @@ class TestDelete:
     def test_counts_stay_exact_after_deletes(self, thousand):
         for key in range(0, 1000, 2):
             thousand.delete(key)
-        assert thousand.range_count(0, 1000) == 500
-        assert thousand.rank(501) == 250
+        assert thousand.range_count(bound(0), bound(1000)) == 500
+        assert thousand.rank(bound(501)) == 250
 
     def test_delete_then_reinsert(self, thousand):
         thousand.delete(500)
@@ -244,7 +251,7 @@ class TestBulkLoad:
 
     def test_bulk_load_frees_old_pages(self):
         manager = PageManager()
-        tree = BPlusTree(manager, BufferPool(manager), order=8)
+        tree = BPlusTree(manager, BufferPool(manager), encode=int_key, order=8)
         for key in range(1000):
             tree.insert(key)
         pages_before = manager.live_pages
@@ -265,7 +272,7 @@ class TestPaging:
     def test_cold_cache_counts_physical_reads(self):
         manager = PageManager()
         pool = BufferPool(manager, capacity=0)
-        tree = BPlusTree(manager, pool, order=8)
+        tree = BPlusTree(manager, pool, encode=int_key, order=8)
         tree.bulk_load([(key, None) for key in range(1000)])
         manager.stats.reset_io()
         tree.get(500)
@@ -274,7 +281,7 @@ class TestPaging:
     def test_lru_eviction(self):
         manager = PageManager()
         pool = BufferPool(manager, capacity=4)
-        tree = BPlusTree(manager, pool, order=4)
+        tree = BPlusTree(manager, pool, encode=int_key, order=4)
         tree.bulk_load([(key, None) for key in range(500)])
         pool.stats.reset()
         list(tree.scan())
@@ -324,4 +331,4 @@ class TestRandomized:
         if lo > hi:
             lo, hi = hi, lo
         expected = sum(1 for key in keys if lo <= key < hi)
-        assert tree.range_count(lo, hi) == expected
+        assert tree.range_count(bound(lo), bound(hi)) == expected

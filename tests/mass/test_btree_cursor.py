@@ -5,23 +5,25 @@ from __future__ import annotations
 from repro.mass.btree import BPlusTree, BTreeCursor
 from repro.mass.pages import BufferPool, PageManager
 
+from tests.mass.test_btree import bound, int_key
+
 
 def make_tree(order: int = 8, entries: int = 1000) -> BPlusTree:
     manager = PageManager()
     pool = BufferPool(manager, capacity=None)
-    tree = BPlusTree(manager, pool, order=order)
+    tree = BPlusTree(manager, pool, encode=int_key, order=order)
     for key in range(entries):
         tree.insert(key, key * 2)
     return tree
 
 
 class TestScanEquivalence:
-    def test_full_scan_matches_scan_encoded(self):
+    def test_full_scan_matches_tree_scan(self):
         tree = make_tree()
         cursor = BTreeCursor(tree)
-        assert list(cursor.scan(None, None)) == list(tree.scan_encoded(None, None))
+        assert list(cursor.scan(None, None)) == list(tree.scan(None, None))
 
-    def test_bounded_scans_match_scan_encoded(self):
+    def test_bounded_scans_match_tree_scan(self):
         tree = make_tree()
         cursor = BTreeCursor(tree)
         for lo, hi, ilo, ihi in [
@@ -34,12 +36,14 @@ class TestScanEquivalence:
             (700, 600, True, False),  # empty range
         ]:
             expected = list(
-                tree.scan_encoded(lo, hi, inclusive_lo=ilo, inclusive_hi=ihi)
+                tree.scan(bound(lo), bound(hi), inclusive_lo=ilo, inclusive_hi=ihi)
             )
-            got = list(cursor.scan(lo, hi, inclusive_lo=ilo, inclusive_hi=ihi))
+            got = list(
+                cursor.scan(bound(lo), bound(hi), inclusive_lo=ilo, inclusive_hi=ihi)
+            )
             assert got == expected, (lo, hi, ilo, ihi)
 
-    def test_reverse_scans_match_scan_reverse_encoded(self):
+    def test_reverse_scans_match_tree_scan_reverse(self):
         tree = make_tree()
         cursor = BTreeCursor(tree)
         for lo, hi, ilo, ihi in [
@@ -49,16 +53,22 @@ class TestScanEquivalence:
             (950, None, True, False),
         ]:
             expected = list(
-                tree.scan_reverse_encoded(lo, hi, inclusive_lo=ilo, inclusive_hi=ihi)
+                tree.scan_reverse(
+                    bound(lo), bound(hi), inclusive_lo=ilo, inclusive_hi=ihi
+                )
             )
             got = list(
-                cursor.scan_reverse(lo, hi, inclusive_lo=ilo, inclusive_hi=ihi)
+                cursor.scan_reverse(
+                    bound(lo), bound(hi), inclusive_lo=ilo, inclusive_hi=ihi
+                )
             )
             assert got == expected, (lo, hi, ilo, ihi)
 
     def test_empty_tree_scans_nothing(self):
         manager = PageManager()
-        tree = BPlusTree(manager, BufferPool(manager, capacity=None), order=8)
+        tree = BPlusTree(
+            manager, BufferPool(manager, capacity=None), encode=int_key, order=8
+        )
         cursor = BTreeCursor(tree)
         assert list(cursor.scan(None, None)) == []
         assert list(cursor.scan_reverse(None, None)) == []
@@ -72,7 +82,7 @@ class TestResume:
         # One descent to position, then a run of adjacent short ranges —
         # exactly the shape axis evaluation produces.
         for lo in range(100, 400, 3):
-            list(cursor.scan(lo, lo + 3))
+            list(cursor.scan(bound(lo), bound(lo + 3)))
         assert tree.metrics.cursor_resumes > 0
         # The first range descends; nearly every later one resumes.
         assert tree.metrics.root_descents <= 5
@@ -80,55 +90,55 @@ class TestResume:
     def test_distant_seek_falls_back_to_descent(self):
         tree = make_tree()
         cursor = BTreeCursor(tree)
-        list(cursor.scan(0, 3))
+        list(cursor.scan(bound(0), bound(3)))
         tree.metrics.reset()
-        list(cursor.scan(900, 903))  # far from the pinned leaf
+        list(cursor.scan(bound(900), bound(903)))  # far from the pinned leaf
         assert tree.metrics.root_descents == 1
 
     def test_past_skips_covered_range(self):
         tree = make_tree()
         cursor = BTreeCursor(tree)
-        list(cursor.scan(500, 510))
+        list(cursor.scan(bound(500), bound(510)))
         # Cursor is pinned at >= 510; any range ending at or before that
         # bound is provably behind it.
-        assert cursor.past(505)
-        assert cursor.past(510)
-        assert not cursor.past(900)
+        assert cursor.past(bound(505))
+        assert cursor.past(bound(510))
+        assert not cursor.past(bound(900))
 
     def test_fresh_cursor_is_never_past(self):
         tree = make_tree()
         cursor = BTreeCursor(tree)
-        assert not cursor.past(0)
+        assert not cursor.past(bound(0))
 
 
 class TestInvalidation:
     def test_insert_invalidates_pin(self):
         tree = make_tree()
         cursor = BTreeCursor(tree)
-        list(cursor.scan(100, 110))
+        list(cursor.scan(bound(100), bound(110)))
         tree.insert(105, -1)  # bumps _mods
-        assert not cursor.past(100)
+        assert not cursor.past(bound(100))
         tree.metrics.reset()
-        list(cursor.scan(110, 120))
+        list(cursor.scan(bound(110), bound(120)))
         assert tree.metrics.cursor_resumes == 0
         assert tree.metrics.root_descents >= 1
 
     def test_scan_after_modification_stays_correct(self):
         tree = make_tree(entries=200)
         cursor = BTreeCursor(tree)
-        list(cursor.scan(50, 60))
+        list(cursor.scan(bound(50), bound(60)))
         for key in range(200, 260):
             tree.insert(key, key * 2)
         tree.delete(55)
-        expected = list(tree.scan_encoded(40, 240))
-        assert list(cursor.scan(40, 240)) == expected
+        expected = list(tree.scan(bound(40), bound(240)))
+        assert list(cursor.scan(bound(40), bound(240))) == expected
 
     def test_abandoned_scan_does_not_clobber_newer_position(self):
         tree = make_tree()
         cursor = BTreeCursor(tree)
-        stale = cursor.scan(100, 900)
+        stale = cursor.scan(bound(100), bound(900))
         next(stale)  # partially consumed, then abandoned
-        list(cursor.scan(500, 510))  # newer scan repositions the cursor
+        list(cursor.scan(bound(500), bound(510)))  # newer scan repositions the cursor
         del stale  # finalizer runs; token mismatch must keep the new pin
-        assert cursor.past(505)
-        assert not cursor.past(900)
+        assert cursor.past(bound(505))
+        assert not cursor.past(bound(900))

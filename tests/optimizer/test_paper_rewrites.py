@@ -82,6 +82,39 @@ class TestQ1Sequence:
         assert work(plan) <= 0.6 * work(default)
 
 
+class TestQ1FetchReduction:
+    """Section VIII on the benchmark form of Q1: 2550 persons against 1256
+    addresses, so ``//address[parent::person]`` does about half the index
+    work of ``//person/address``.  The parent check is a name-index probe
+    that resumes from the predicate sub-plan's cursor; without either, the
+    rewrite costs *more* than the default plan's cursor-driven merge."""
+
+    QUERY = "//person/address"
+
+    def test_work_cut_and_no_record_fetches(self, paper_store):
+        default = build_default_plan(self.QUERY)
+        plan, _trace = optimize_plan(build_default_plan(self.QUERY), paper_store)
+        address = chain(plan)[0]
+        assert address.test.name == "address"
+        assert address.predicates[0].path.axis is Axis.PARENT
+
+        def run(p):
+            paper_store.reset_metrics()
+            count = len(list(execute_plan(p, paper_store)))
+            return count, paper_store.io_snapshot()
+
+        default_count, default_io = run(default)
+        count, io = run(plan)
+        assert count == default_count == 1256
+        work = io["logical_reads"] + io["entries_scanned"]
+        default_work = default_io["logical_reads"] + default_io["entries_scanned"]
+        assert work <= 0.6 * default_work, (work, default_work)
+        assert io["record_fetches"] == 0
+        # One descent per index touched, not one per candidate address.
+        assert io["root_descents"] <= 4
+        assert io["cursor_resumes"] >= count - 4
+
+
 class TestQ2ValueIndex:
     """Figure 9: //name[text()='Yung Flach'] becomes a value-index probe."""
 

@@ -62,7 +62,15 @@ class TestDifferentialIdentity:
         assert outcome.rows == reference_rows(collection_db, expression)
 
     @pytest.mark.parametrize(
-        "expression", ["count(//item)", "count(//person)", "count(//book)"]
+        "expression",
+        [
+            "count(//item)",
+            "count(//person)",
+            "count(//book)",
+            # multi-step: the pipeline reaches these nodes more than once
+            "count(//watch/..)",
+            "count(//*//watch)",
+        ],
     )
     def test_counts_sum_exactly(self, sharded, collection_db, expression):
         outcome = sharded.evaluate(expression)
