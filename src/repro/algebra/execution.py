@@ -129,11 +129,15 @@ class NodeSetValue:
         store: MassStore,
         count_fast: "Callable[[], int | None] | None" = None,
         distinct: bool = True,
+        cursors: ScanCursors | None = None,
     ):
         self._iterate = iterate
         self._store = store
         self._count_fast = count_fast
         self._distinct = distinct
+        #: Shared by every string-value read of the owning evaluator, so
+        #: consecutive candidates resume instead of re-descending.
+        self._cursors = cursors
 
     def keys(self) -> Iterator[FlexKey]:
         """The raw pipeline emission (may repeat nodes unless distinct)."""
@@ -170,7 +174,7 @@ class NodeSetValue:
 
     def string_values(self) -> Iterator[str]:
         for key in self._distinct_keys():
-            yield self._store.string_value(key)
+            yield self._store.string_value(key, self._cursors)
 
 
 def _first_occurrences(keys: Iterator[FlexKey]) -> Iterator[FlexKey]:
@@ -225,7 +229,7 @@ def to_string(value) -> str:
         return value
     if isinstance(value, NodeSetValue):
         first = value.first_key()
-        return "" if first is None else value._store.string_value(first)
+        return "" if first is None else value._store.string_value(first, value._cursors)
     raise ExecutionError(f"cannot convert {type(value).__name__} to string")
 
 
@@ -813,6 +817,8 @@ class ExpressionEvaluator:
         #: One operator tree per predicate path, re-armed per candidate, so
         #: its cursors resume across the candidates of the enclosing step.
         self._operators: dict[PlanNode, Operator] = {}
+        #: Cursors for string-value reads (see :class:`NodeSetValue`).
+        self._cursors = ScanCursors(store)
 
     # -- dispatch -----------------------------------------------------------
 
@@ -862,7 +868,7 @@ class ExpressionEvaluator:
         # Only a step fed by another step can reach a node twice: a lone
         # step scans one context, and the other operators emit distinct.
         distinct = not isinstance(path, StepNode) or path.context_child is None
-        return NodeSetValue(iterate, self.store, count_fast, distinct)
+        return NodeSetValue(iterate, self.store, count_fast, distinct, self._cursors)
 
     # -- binary operators --------------------------------------------------------
 
@@ -976,19 +982,19 @@ class ExpressionEvaluator:
             )
         if name == "string":
             if not args:
-                return self.store.string_value(context.key)
+                return self.store.string_value(context.key, self._cursors)
             return to_string(self.evaluate(args[0], context))
         if name == "number":
             if not args:
-                return to_number(self.store.string_value(context.key))
+                return to_number(self.store.string_value(context.key, self._cursors))
             return to_number(self.evaluate(args[0], context))
         if name == "string-length":
             if not args:
-                return float(len(self.store.string_value(context.key)))
+                return float(len(self.store.string_value(context.key, self._cursors)))
             return float(len(to_string(self.evaluate(args[0], context))))
         if name == "normalize-space":
             text = (
-                self.store.string_value(context.key)
+                self.store.string_value(context.key, self._cursors)
                 if not args
                 else to_string(self.evaluate(args[0], context))
             )

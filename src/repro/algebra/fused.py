@@ -40,16 +40,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.errors import PlanError
 from repro.mass.axes import ScanCursors, _subtree_range
+from repro.mass.btree import hand_back
 from repro.mass.flexkey import FlexKey
 from repro.mass.records import NodeKind, NodeRecord
 from repro.mass.store import MassStore
 from repro.model import Axis, NodeTest, NodeTestKind
 from repro.algebra.execution import Operator, OperatorState
 from repro.algebra.plan import FusedPathScanNode
-
-#: Guard-checkpoint cadence of the fused scan, in processed index entries.
-#: Mirrors the coalesced-scan cadence (:data:`repro.mass.axes._CHECKPOINT_EVERY`).
-_CHECKPOINT_EVERY = 64
 
 #: How many entries of a dead subtree the scan filters inline before it
 #: repositions the cursor to the subtree's upper bound.  Tiny subtrees are
@@ -264,14 +261,18 @@ class FusedPathScanOperator(Operator):
     def _fused_scan(self, context: FlexKey) -> Iterator[FlexKey]:
         """Simulate the automaton over one document-order subtree scan.
 
-        The body of the per-entry loop is :meth:`PathAutomaton.advance`
-        inlined (match-mask dispatch, transition shift, closure fixpoint)
-        with every mask hoisted into a local: the loop runs once per index
-        entry of the context subtree, and at that trip count Python
-        attribute lookups and method calls are the dominant cost.
+        The scan consumes the node index a leaf run at a time
+        (:meth:`~repro.mass.btree.BTreeCursor.scan_runs`): the guard is
+        checkpointed once per run — page-granular, which is what a page
+        budget wants — and the inner loop walks a plain list.  Its body
+        is :meth:`PathAutomaton.advance` inlined (match-mask dispatch,
+        transition shift, closure fixpoint) with every mask hoisted into
+        a local: it runs once per index entry of the context subtree, and
+        at that trip count Python attribute lookups and method calls are
+        the dominant cost.
         """
         guard = self.guard
-        scan = self.store.node_index.scan_cursor
+        scan_runs = self.store.node_index.scan_runs
         node_cursor = self._cursors.node_cursor()
         auto = self.automaton
         accept = auto.accept
@@ -301,58 +302,67 @@ class FusedPathScanOperator(Operator):
         inclusive = False
         dead_hi = None  # exclusive top of the dead subtree being skipped
         dead_run = 0
-        since_checkpoint = 0
         while True:
             seek_to = None
-            for record in scan(node_cursor, lo, hi, inclusive_lo=inclusive):
-                since_checkpoint += 1
-                if guard is not None and since_checkpoint >= _CHECKPOINT_EVERY:
+            runs = scan_runs(node_cursor, lo, hi, inclusive_lo=inclusive)
+            for _keys, records in runs:
+                if guard is not None:
                     guard.checkpoint()
-                    since_checkpoint = 0
-                key = record.key
-                if dead_hi is not None:
-                    if key.sort_bytes < dead_hi:
-                        dead_run += 1
-                        if dead_run >= _SKIP_SEEK_AFTER:
-                            seek_to = dead_hi
-                            break
-                        continue
-                    dead_hi = None
-                depth = key.depth
-                while stack[-1][0] >= depth:
-                    stack.pop()
-                _parent_depth, parent_states, parent_feed = stack[-1]
-                kind = record.kind
-                # PathAutomaton.advance, inlined.
-                if kind is element_kind:
-                    match = element_mask_get(record.name, element_default)
-                elif kind is text_kind:
-                    match = text_mask
-                elif kind is comment_kind:
-                    match = comment_mask
-                elif kind is pi_kind:
-                    match = pi_mask_get(record.name, pi_default)
-                else:
-                    match = 0  # attribute/namespace: unreachable by these axes
-                states = (
-                    ((parent_states & child_mask) | parent_feed) & match
-                ) << 1
-                if states and closure_mask:
-                    closure_fire = closure_mask & match
-                    while closure_fire:
-                        advanced = states | ((states & closure_fire) << 1)
-                        if advanced == states:
-                            break
-                        states = advanced
-                if states & accept:
-                    yield key
-                if kind is element_kind:
-                    feed_desc = parent_feed | (states & desc_mask)
-                    if (states & child_mask) | feed_desc:
-                        stack.append((depth, states, feed_desc))
-                    else:
-                        dead_hi = key.subtree_upper_bound_bytes()
-                        dead_run = 0
+                rest = iter(records)
+                try:
+                    for record in rest:
+                        key = record.key
+                        if dead_hi is not None:
+                            if key.sort_bytes < dead_hi:
+                                dead_run += 1
+                                if dead_run >= _SKIP_SEEK_AFTER:
+                                    seek_to = dead_hi
+                                    break
+                                continue
+                            dead_hi = None
+                        depth = key.depth
+                        while stack[-1][0] >= depth:
+                            stack.pop()
+                        _parent_depth, parent_states, parent_feed = stack[-1]
+                        kind = record.kind
+                        # PathAutomaton.advance, inlined.
+                        if kind is element_kind:
+                            match = element_mask_get(record.name, element_default)
+                        elif kind is text_kind:
+                            match = text_mask
+                        elif kind is comment_kind:
+                            match = comment_mask
+                        elif kind is pi_kind:
+                            match = pi_mask_get(record.name, pi_default)
+                        else:
+                            match = 0  # attribute/namespace: unreachable by these axes
+                        states = (
+                            ((parent_states & child_mask) | parent_feed) & match
+                        ) << 1
+                        if states and closure_mask:
+                            closure_fire = closure_mask & match
+                            while closure_fire:
+                                advanced = states | ((states & closure_fire) << 1)
+                                if advanced == states:
+                                    break
+                                states = advanced
+                        if states & accept:
+                            yield key
+                        if kind is element_kind:
+                            feed_desc = parent_feed | (states & desc_mask)
+                            if (states & child_mask) | feed_desc:
+                                stack.append((depth, states, feed_desc))
+                            else:
+                                dead_hi = key.subtree_upper_bound_bytes()
+                                dead_run = 0
+                except BaseException:  # abandoned mid-run
+                    hand_back(runs, rest)
+                    raise
+                if seek_to is not None:
+                    # The scan is charged, and the cursor pinned, at the
+                    # entry that proved the subtree dead.
+                    hand_back(runs, rest)
+                    break
             if seek_to is None:
                 return
             # Reposition the scan just past the dead subtree; the pinned

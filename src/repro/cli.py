@@ -115,7 +115,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             print(fragment)
     else:
         limit = args.limit if args.limit > 0 else len(result)
-        for label in result.labels()[:limit]:
+        for label in result.labels(limit):
             print(label)
         if limit < len(result):
             print(f"... ({len(result) - limit} more)")

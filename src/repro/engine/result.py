@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING, Iterator
 
+from repro.mass.axes import ScanCursors
 from repro.mass.flexkey import FlexKey
 from repro.mass.records import NodeRecord
 
@@ -72,16 +74,26 @@ class QueryResult:
         return iter(self.keys)
 
     def records(self) -> Iterator[NodeRecord]:
-        for key in self.keys:
-            yield self.store.require(key)
+        """The result's records, in ``keys`` order.
+
+        The keys are document-ordered, so this is one merge against the
+        clustered node index (:meth:`MassStore.fetch_run`), not a look-up
+        per key.
+        """
+        return self.store.fetch_run(self.keys)
 
     def string_values(self) -> list[str]:
         """The XPath string-value of every result node."""
-        return [self.store.string_value(key) for key in self.keys]
+        cursors = ScanCursors(self.store)
+        return [self.store.string_value(key, cursors) for key in self.keys]
 
-    def labels(self) -> list[str]:
-        """Short human-readable node labels (for examples and debugging)."""
-        return [record.label() for record in self.records()]
+    def labels(self, limit: int | None = None) -> list[str]:
+        """Short human-readable node labels (for examples and debugging).
+
+        ``limit`` caps the list at the first ``limit`` results and fetches
+        only those records.
+        """
+        return [record.label() for record in islice(self.records(), limit)]
 
     def key_set(self) -> frozenset[FlexKey]:
         return frozenset(self.keys)

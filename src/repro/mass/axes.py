@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
+from repro.mass.btree import hand_back
 from repro.mass.flexkey import FlexKey
 from repro.mass.indexes import index_name_for_test, text_bounds
 from repro.mass.records import NodeKind, NodeRecord
@@ -71,8 +72,7 @@ class ScanCursors:
         always in the pinned leaf's neighbourhood — the lookup resumes
         instead of costing a root-to-leaf descent per context.
         """
-        self._store.metrics.record_fetches += 1
-        return self._store.node_index.get_cursor(self.node_cursor(), key)
+        return self._store.fetch(key, self.node_cursor())
 
 
 def axis_iter(
@@ -143,11 +143,8 @@ def _iter_parent(store, context, axis, test, cursors):
         # A named parent is a point probe of the name index, not a record
         # fetch.  Parents of document-ordered contexts sit side by side in
         # the name run, so the shared cursor resumes from its pinned leaf.
-        encoded = parent.sort_bytes
-        for key, _kind in store.name_index.scan_cursor(
-            cursors.name_cursor(), index_name, encoded, encoded + b"\x00"
-        ):
-            yield key, None
+        if store.name_index.kind_of(cursors.name_cursor(), index_name, parent) is not None:
+            yield parent, None
         return
     record = store.fetch(parent)
     if record is not None and _record_matches(record, axis, test):
@@ -191,32 +188,45 @@ def _scan(
     """
     index_name = index_name_for_test(test, axis.principal_kind)
     if index_name is not None:
-        hits = store.name_index.scan_cursor(
+        runs = store.name_index.scan_runs(
             cursors.name_cursor(), index_name, lo, hi, inclusive_lo, reverse
         )
-        for key, kind in hits:
-            if kind in _SPECIAL_KINDS and axis not in (Axis.ATTRIBUTE, Axis.NAMESPACE):
-                continue
-            if axis is Axis.ATTRIBUTE and kind is not NodeKind.ATTRIBUTE:
-                continue
-            if axis is Axis.NAMESPACE and kind is not NodeKind.NAMESPACE:
-                continue
-            if depth is not None and key.depth != depth:
-                continue
-            if skip_ancestors_of is not None and key.is_ancestor_of(skip_ancestors_of):
-                continue
-            yield key, None
+        for entry_keys, kinds in runs:
+            rest = iter(kinds)
+            try:
+                for (_name, key), kind in zip(entry_keys, rest):
+                    if kind in _SPECIAL_KINDS and axis not in (Axis.ATTRIBUTE, Axis.NAMESPACE):
+                        continue
+                    if axis is Axis.ATTRIBUTE and kind is not NodeKind.ATTRIBUTE:
+                        continue
+                    if axis is Axis.NAMESPACE and kind is not NodeKind.NAMESPACE:
+                        continue
+                    if depth is not None and key.depth != depth:
+                        continue
+                    if skip_ancestors_of is not None and key.is_ancestor_of(skip_ancestors_of):
+                        continue
+                    yield key, None
+            except BaseException:  # abandoned mid-run: charge what was taken
+                hand_back(runs, rest)
+                raise
         return
-    records = store.node_index.scan_cursor(
+    runs = store.node_index.scan_runs(
         cursors.node_cursor(), lo, hi, inclusive_lo=inclusive_lo, reverse=reverse
     )
-    for record in records:
-        if depth is not None and record.key.depth != depth:
-            continue
-        if skip_ancestors_of is not None and record.key.is_ancestor_of(skip_ancestors_of):
-            continue
-        if _record_matches(record, axis, test):
-            yield record.key, record
+    for _keys, records in runs:
+        rest = iter(records)
+        try:
+            for record in rest:
+                key = record.key
+                if depth is not None and key.depth != depth:
+                    continue
+                if skip_ancestors_of is not None and key.is_ancestor_of(skip_ancestors_of):
+                    continue
+                if _record_matches(record, axis, test):
+                    yield key, record
+        except BaseException:  # abandoned mid-run: charge what was taken
+            hand_back(runs, rest)
+            raise
 
 
 def _iter_child(store, context, axis, test, cursors):
@@ -411,9 +421,10 @@ def scan_coalesced(
 ) -> Iterator[FlexKey]:
     """Scan disjoint document-ordered spans, yielding matching keys.
 
-    The guard is checkpointed every :data:`_CHECKPOINT_EVERY` scanned
-    entries, so a long span cannot outrun a resource limit between two
-    ``next_block`` calls.  When the node test pins an index name,
+    The scan consumes leaf runs; the guard is checkpointed between runs,
+    once :data:`_CHECKPOINT_EVERY` entries have gone by, so a long span
+    cannot outrun a resource limit between two ``next_block`` calls.
+    When the node test pins an index name,
     the zig-zag skip applies: a span whose upper bound lies at or before
     the cursor's pinned position (which, spans being sorted and disjoint,
     is the first entry not yet returned) is proven empty and skipped with
@@ -424,32 +435,40 @@ def scan_coalesced(
     if index_name is not None:
         cursor = cursors.name_cursor()
         for lo, hi, inclusive_lo in spans:
-            if hi is not None:
-                _low, high = text_bounds(index_name, lo, hi)
-                if cursor.past(high):
-                    continue
-            for key, kind in store.name_index.scan_cursor(
-                cursor, index_name, lo, hi, inclusive_lo
-            ):
-                since_checkpoint += 1
+            low, high = text_bounds(index_name, lo, hi)
+            if hi is not None and cursor.past(high):
+                continue
+            runs = cursor.scan_runs(low, high, inclusive_lo)
+            for entry_keys, kinds in runs:
+                since_checkpoint += len(kinds)
                 if guard is not None and since_checkpoint >= _CHECKPOINT_EVERY:
                     guard.checkpoint()
                     since_checkpoint = 0
-                if kind in _SPECIAL_KINDS:
-                    continue
-                yield key
+                rest = iter(kinds)
+                try:
+                    for (_name, key), kind in zip(entry_keys, rest):
+                        if kind not in _SPECIAL_KINDS:
+                            yield key
+                except BaseException:  # abandoned mid-run
+                    hand_back(runs, rest)
+                    raise
         return
     cursor = cursors.node_cursor()
     for lo, hi, inclusive_lo in spans:
-        for record in store.node_index.scan_cursor(
-            cursor, lo, hi, inclusive_lo=inclusive_lo
-        ):
-            since_checkpoint += 1
+        runs = store.node_index.scan_runs(cursor, lo, hi, inclusive_lo=inclusive_lo)
+        for _keys, records in runs:
+            since_checkpoint += len(records)
             if guard is not None and since_checkpoint >= _CHECKPOINT_EVERY:
                 guard.checkpoint()
                 since_checkpoint = 0
-            if _record_matches(record, axis, test):
-                yield record.key
+            rest = iter(records)
+            try:
+                for record in rest:
+                    if _record_matches(record, axis, test):
+                        yield record.key
+            except BaseException:  # abandoned mid-run
+                hand_back(runs, rest)
+                raise
 
 
 # -- index-only counting -------------------------------------------------------

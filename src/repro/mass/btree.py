@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left as _c_bisect_left, bisect_right as _c_bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import StorageError
 from repro.mass.pages import BufferPool, Page, PageKind, PageManager
@@ -287,31 +287,10 @@ class BPlusTree:
 
         Bounds are in search-key space; ``None`` bounds are open.  The
         iterator touches each visited leaf page once and charges one
-        entry-scan per yielded entry.
+        entry-scan per yielded entry.  A one-off :class:`BTreeCursor`
+        does the walking (nothing is pinned yet, so it descends once).
         """
-        if not self._size:
-            return
-        if lo is None:
-            leaf, index = self._leftmost_leaf(), 0
-        else:
-            leaf, index = self._find_leaf(lo, right=not inclusive_lo)
-        while leaf is not None:
-            skeys = leaf.skeys
-            if index >= len(skeys):
-                leaf = leaf.next
-                index = 0
-                if leaf is not None:
-                    self._visit(leaf)
-                continue
-            if hi is not None:
-                skey = skeys[index]
-                self.metrics.key_comparisons += 1
-                past = skey > hi if inclusive_hi else skey >= hi
-                if past:
-                    return
-            self.metrics.entries_scanned += 1
-            yield leaf.keys[index], leaf.values[index]
-            index += 1
+        return BTreeCursor(self).scan(lo, hi, inclusive_lo, inclusive_hi)
 
     def scan_reverse(
         self,
@@ -321,37 +300,7 @@ class BPlusTree:
         inclusive_hi: bool = False,
     ) -> Iterator[tuple[Any, Any]]:
         """Descending scan of the same range as :meth:`scan`."""
-        if not self._size:
-            return
-        if hi is None:
-            leaf = self._rightmost_leaf()
-            index = len(leaf.keys) - 1
-        else:
-            leaf, index = self._find_leaf(hi, right=inclusive_hi)
-            index -= 1
-            if index < 0:
-                leaf = leaf.prev
-                if leaf is None:
-                    return
-                self._visit(leaf)
-                index = len(leaf.keys) - 1
-        while leaf is not None:
-            if index < 0:
-                leaf = leaf.prev
-                if leaf is None:
-                    return
-                self._visit(leaf)
-                index = len(leaf.keys) - 1
-                continue
-            if lo is not None:
-                skey = leaf.skeys[index]
-                self.metrics.key_comparisons += 1
-                past = skey < lo if inclusive_lo else skey <= lo
-                if past:
-                    return
-            self.metrics.entries_scanned += 1
-            yield leaf.keys[index], leaf.values[index]
-            index -= 1
+        return BTreeCursor(self).scan_reverse(lo, hi, inclusive_lo, inclusive_hi)
 
     def items(self) -> Iterator[tuple[Any, Any]]:
         return self.scan()
@@ -748,6 +697,13 @@ class BTreeCursor:
     scan generator writes its stopping position back into the cursor, so
     interleaving two live scans from one cursor would corrupt the pin
     (each scan stamps a token and only the newest writes back).
+
+    Bulk reads go through the two *leaf-run kernels*: :meth:`get_run`
+    (point look-ups for a sequence of keys) and :meth:`scan_runs` /
+    :meth:`scan_runs_reverse` (a range as one slice per leaf).  Both
+    touch a page, and update the counters, once per leaf instead of once
+    per entry, and both re-check ``_mods`` after every yield.  ``scan`` /
+    ``scan_reverse`` are the entry-at-a-time view of the run generators.
     """
 
     __slots__ = ("_tree", "_leaf", "_index", "_anchor", "_mods", "_token")
@@ -828,19 +784,107 @@ class BTreeCursor:
             return skeys[self._index] >= skey
         return False
 
-    # -- scanning ------------------------------------------------------------
+    # -- leaf-run kernels -----------------------------------------------------
 
-    def scan(
+    def get_run(self, skeys: Iterable[bytes], default: Any = None) -> Iterator[Any]:
+        """Point look-ups for a sequence of search keys, one leaf at a time.
+
+        Yields ``tree.get``'s answer (the value, or ``default``) for every
+        key, in the order given.  Any order is correct; ascending order is
+        fast: the kernel positions once (:meth:`seek` — pinned-neighbourhood
+        resume, else descent), bisects each further key *inside the current
+        leaf from the previous slot*, hops to ``leaf.next`` when the key
+        lies there, and positions afresh only across a gap.  Each leaf
+        visited costs one page touch and one counter update; hits are
+        charged to ``entries_scanned`` like :meth:`BPlusTree.get` charges
+        them.
+
+        The tree's ``_mods`` stamp is re-checked after every yield, so a
+        generator that outlives an insert or delete re-positions instead of
+        reading a leaf that may have been split or unlinked.  The cursor is
+        left pinned at the last key's position.
+        """
+        tree = self._tree
+        metrics = tree.metrics
+        leaf: _Leaf | None = None
+        lkeys: list[bytes] = []
+        lvalues: list[Any] = []
+        first = last = b""
+        slot = size = 0
+        mods = -1  # tree stamps are >= 0: the first key always positions
+        token = self._token
+        lookups = hits = 0
+        try:
+            for skey in skeys:
+                if size and first <= skey <= last and mods == tree._mods:
+                    slot = _c_bisect_left(
+                        lkeys, skey, slot if lkeys[slot] <= skey else 0
+                    )
+                    lookups += 1
+                else:
+                    # Leaving the leaf: one counter update for its look-ups.
+                    metrics.key_comparisons += lookups * (size.bit_length() + 3)
+                    metrics.entries_scanned += hits
+                    lookups = hits = 0
+                    following = leaf.next if mods == tree._mods else None
+                    if (
+                        size
+                        and following is not None
+                        and following.skeys
+                        and last < skey <= following.skeys[-1]
+                    ):
+                        leaf = following
+                        tree._visit(leaf)
+                        slot = _c_bisect_left(leaf.skeys, skey)
+                        lookups = 1
+                    elif leaf is None:
+                        leaf, slot = self.seek(skey)
+                        token = self._token
+                    else:
+                        leaf, slot = tree._find_leaf(skey)  # across a gap
+                    mods = tree._mods
+                    lkeys = leaf.skeys
+                    lvalues = leaf.values
+                    size = len(lkeys)
+                    if size:
+                        first = lkeys[0]
+                        last = lkeys[-1]
+                        if slot == size:
+                            slot -= 1  # past the leaf's last key: a miss
+                if size and lkeys[slot] == skey:
+                    hits += 1
+                    yield lvalues[slot]
+                else:
+                    yield default
+        finally:
+            metrics.key_comparisons += lookups * (size.bit_length() + 3)
+            metrics.entries_scanned += hits
+            if leaf is not None and mods == tree._mods and token == self._token:
+                self._pin(leaf, slot)
+
+    def scan_runs(
         self,
         lo: Any = None,
         hi: Any = None,
         inclusive_lo: bool = True,
         inclusive_hi: bool = False,
-    ) -> Iterator[tuple[Any, Any]]:
-        """:meth:`BPlusTree.scan`, resuming from the pinned leaf.
+    ) -> Iterator[tuple[list[Any], list[Any]]]:
+        """Forward range scan yielding one ``(keys, values)`` slice per leaf.
+
+        The range is :meth:`scan`'s.  Each leaf's share of it is resolved
+        with one comparison against the leaf's last key (plus one bisect in
+        the leaf where the range ends) instead of one comparison per entry;
+        the slices are copies, so the consumer may keep them across tree
+        modifications.  ``entries_scanned`` is charged per run.  A consumer
+        that stops *inside* a run hands the rest back with
+        :func:`hand_back`, and is then charged (and the cursor pinned)
+        exactly as the entry-at-a-time scan would have been; one that
+        simply drops the generator is charged the whole run it was handed.
 
         The cursor is left pinned where the scan stops (bound hit,
-        exhaustion, or abandonment), ready to resume the next range.
+        exhaustion, or abandonment), ready to resume the next range.  If
+        the tree is modified while a run is out, the scan re-descends to just
+        past the last entry it handed over.
         """
         tree = self._tree
         if not tree._size:
@@ -854,40 +898,60 @@ class BTreeCursor:
         else:
             leaf, index = self.seek(lo, right=not inclusive_lo)
         token = self._token
+        mods = tree._mods
         metrics = tree.metrics
+        bisect_hi = _c_bisect_right if inclusive_hi else _c_bisect_left
         try:
             while leaf is not None:
                 skeys = leaf.skeys
-                if index >= len(skeys):
-                    leaf = leaf.next
-                    index = 0
-                    if leaf is not None:
-                        tree._visit(leaf)
-                    continue
-                if hi is not None:
-                    skey = skeys[index]
+                stop = len(skeys)
+                ends_here = False
+                if hi is not None and index < stop:
                     metrics.key_comparisons += 1
-                    past = skey > hi if inclusive_hi else skey >= hi
-                    if past:
+                    last = skeys[-1]
+                    if (last > hi) if inclusive_hi else (last >= hi):
+                        metrics.key_comparisons += (stop - index).bit_length()
+                        stop = bisect_hi(skeys, hi, index)
+                        ends_here = True
+                if index < stop:
+                    start, index = index, stop
+                    resume_after = skeys[stop - 1]
+                    metrics.entries_scanned += stop - start
+                    left = yield leaf.keys[start:stop], leaf.values[start:stop]
+                    if left is not None:
+                        # Stopped inside the run: un-charge what was handed
+                        # back and pin at the last entry taken, where the
+                        # entry-at-a-time scan would be.
+                        metrics.entries_scanned -= left
+                        index = max(stop - left - 1, start)
                         return
-                metrics.entries_scanned += 1
-                yield leaf.keys[index], leaf.values[index]
-                index += 1
+                    if tree._mods != mods:
+                        mods = tree._mods
+                        leaf, index = tree._find_leaf(resume_after, right=True)
+                        continue
+                if ends_here:
+                    return
+                leaf = leaf.next
+                index = 0
+                if leaf is not None:
+                    tree._visit(leaf)
         finally:
             # Write the stopping position back — unless a newer scan/seek
             # already moved the cursor (an abandoned generator finalizing
-            # late must not clobber it).
-            if token == self._token and leaf is not None:
+            # late must not clobber it) or the tree changed under the run
+            # still out (the leaf may be unlinked by now).
+            if token == self._token and mods == tree._mods and leaf is not None:
                 self._pin(leaf, index)
 
-    def scan_reverse(
+    def scan_runs_reverse(
         self,
         lo: Any = None,
         hi: Any = None,
         inclusive_lo: bool = True,
         inclusive_hi: bool = False,
-    ) -> Iterator[tuple[Any, Any]]:
-        """:meth:`BPlusTree.scan_reverse` with cursor resume."""
+    ) -> Iterator[tuple[list[Any], list[Any]]]:
+        """:meth:`scan_runs` over the same range, descending: leaves from
+        right to left, each slice reversed."""
         tree = self._tree
         if not tree._size:
             return
@@ -901,28 +965,104 @@ class BTreeCursor:
             leaf, index = self.seek(hi, right=inclusive_hi)
             index -= 1
         token = self._token
+        mods = tree._mods
         metrics = tree.metrics
+        bisect_lo = _c_bisect_left if inclusive_lo else _c_bisect_right
         try:
             while leaf is not None:
-                if index < 0:
-                    leaf = leaf.prev
-                    if leaf is None:
+                skeys = leaf.skeys
+                start = 0
+                ends_here = False
+                if lo is not None and index >= 0:
+                    metrics.key_comparisons += 1
+                    first = skeys[0]
+                    if (first < lo) if inclusive_lo else (first <= lo):
+                        metrics.key_comparisons += (index + 1).bit_length()
+                        start = bisect_lo(skeys, lo, 0, index + 1)
+                        ends_here = True
+                if start <= index:
+                    top, index = index, start - 1
+                    resume_before = skeys[start]
+                    metrics.entries_scanned += top - index
+                    left = yield (
+                        leaf.keys[start : top + 1][::-1],
+                        leaf.values[start : top + 1][::-1],
+                    )
+                    if left is not None:
+                        metrics.entries_scanned -= left
+                        index = min(start + left, top)
                         return
+                    if tree._mods != mods:
+                        mods = tree._mods
+                        leaf, index = tree._find_leaf(resume_before)
+                        index -= 1
+                        continue
+                if ends_here:
+                    return
+                leaf = leaf.prev
+                if leaf is not None:
                     tree._visit(leaf)
                     index = len(leaf.keys) - 1
-                    continue
-                if lo is not None:
-                    skey = leaf.skeys[index]
-                    metrics.key_comparisons += 1
-                    past = skey < lo if inclusive_lo else skey <= lo
-                    if past:
-                        return
-                metrics.entries_scanned += 1
-                yield leaf.keys[index], leaf.values[index]
-                index -= 1
         finally:
-            if token == self._token and leaf is not None:
+            if token == self._token and mods == tree._mods and leaf is not None:
                 self._pin(leaf, max(index, 0))
+
+    # -- scanning ------------------------------------------------------------
+
+    def scan(
+        self,
+        lo: Any = None,
+        hi: Any = None,
+        inclusive_lo: bool = True,
+        inclusive_hi: bool = False,
+    ) -> Iterator[tuple[Any, Any]]:
+        """:meth:`scan_runs` an entry at a time: ``(key, value)`` pairs."""
+        return flatten_runs(self.scan_runs(lo, hi, inclusive_lo, inclusive_hi), zip)
+
+    def scan_reverse(
+        self,
+        lo: Any = None,
+        hi: Any = None,
+        inclusive_lo: bool = True,
+        inclusive_hi: bool = False,
+    ) -> Iterator[tuple[Any, Any]]:
+        """:meth:`scan_runs_reverse` an entry at a time."""
+        return flatten_runs(
+            self.scan_runs_reverse(lo, hi, inclusive_lo, inclusive_hi), zip
+        )
+
+
+def hand_back(runs: Iterator, rest: Iterator) -> None:
+    """End a run generator whose consumer stops inside the run in hand.
+
+    ``rest`` is the iterator the consumer was walking the run's values
+    with: whatever it still holds was not taken, and is neither charged
+    nor skipped by the cursor pin (see :meth:`BTreeCursor.scan_runs`).
+    """
+    try:
+        runs.send(len(list(rest)))
+    except StopIteration:
+        pass
+
+
+def flatten_runs(
+    runs: Iterator[tuple[list[Any], list[Any]]],
+    entries: Callable[[list[Any], Iterator[Any]], Iterable[Any]],
+) -> Iterator[Any]:
+    """The entry-at-a-time view of a run generator.
+
+    ``entries(keys, values)`` maps one run to the entries to yield — one
+    per index entry, pulling ``values`` (an iterator) in step.  Abandoning
+    the view mid-run hands the rest back to the kernel, so counters and
+    the cursor pin match what was consumed.
+    """
+    for keys, values in runs:
+        rest = iter(values)
+        try:
+            yield from entries(keys, rest)
+        except BaseException:
+            hand_back(runs, rest)
+            raise
 
 
 def _node_count(node: _Leaf | _Internal) -> int:

@@ -27,9 +27,10 @@ without re-deriving them.
 
 from __future__ import annotations
 
-from typing import Iterator
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator
 
-from repro.mass.btree import BPlusTree, BTreeCursor
+from repro.mass.btree import BPlusTree, BTreeCursor, flatten_runs
 from repro.mass.flexkey import FlexKey
 from repro.mass.pages import BufferPool, PageManager
 from repro.mass.records import NodeKind, NodeRecord
@@ -106,9 +107,8 @@ def composite_sort_bytes(key: tuple) -> bytes:
     return escape_text(text) + flex.sort_bytes
 
 
-def flex_sort_bytes(key: FlexKey) -> bytes:
-    """Byte search key of a node-index key."""
-    return key.sort_bytes
+#: Byte search key of a node-index key (``key.sort_bytes``, at C speed).
+flex_sort_bytes = attrgetter("sort_bytes")
 
 
 class NodeIndex:
@@ -135,6 +135,16 @@ class NodeIndex:
     def get(self, key: FlexKey) -> NodeRecord | None:
         return self.tree.get(key)
 
+    def get_run(
+        self, keys: Iterable[FlexKey], cursor: BTreeCursor | None = None
+    ) -> Iterator[NodeRecord | None]:
+        """:meth:`get` for every key in turn, one leaf at a time when the
+        keys ascend (see :meth:`BTreeCursor.get_run`).  A ``cursor`` pinned
+        near the first key saves the initial descent."""
+        if cursor is None:
+            cursor = self.cursor()
+        return cursor.get_run(map(flex_sort_bytes, keys))
+
     def scan(
         self,
         lo: "FlexKey | bytes | None",
@@ -143,11 +153,11 @@ class NodeIndex:
         inclusive_hi: bool = False,
         reverse: bool = False,
     ) -> Iterator[NodeRecord]:
-        scan = self.tree.scan_reverse if reverse else self.tree.scan
-        for _key, record in scan(
-            _flex_bound(lo), _flex_bound(hi), inclusive_lo, inclusive_hi
-        ):
-            yield record
+        """The records with keys in the range, one at a time."""
+        return flatten_runs(
+            self.scan_runs(self.cursor(), lo, hi, inclusive_lo, inclusive_hi, reverse),
+            _run_values,
+        )
 
     def count_range(
         self, lo: "FlexKey | bytes | None", hi: "FlexKey | bytes | None"
@@ -162,7 +172,7 @@ class NodeIndex:
         """:meth:`get` positioned through ``cursor`` (resume-friendly)."""
         return cursor.get(key.sort_bytes)
 
-    def scan_cursor(
+    def scan_runs(
         self,
         cursor: BTreeCursor,
         lo: "FlexKey | bytes | None",
@@ -170,14 +180,13 @@ class NodeIndex:
         inclusive_lo: bool = True,
         inclusive_hi: bool = False,
         reverse: bool = False,
-    ) -> Iterator[NodeRecord]:
-        """:meth:`scan`, but positioned through ``cursor`` so runs of nearby
-        ranges resume from the pinned leaf instead of re-descending."""
-        scan = cursor.scan_reverse if reverse else cursor.scan
-        for _key, record in scan(
-            _flex_bound(lo), _flex_bound(hi), inclusive_lo, inclusive_hi
-        ):
-            yield record
+    ) -> Iterator[tuple[list[FlexKey], list[NodeRecord]]]:
+        """:meth:`scan` a leaf at a time — ``(keys, records)`` slices —
+        positioned through ``cursor``, so runs of nearby ranges resume
+        from its pinned leaf instead of re-descending (see
+        :meth:`BTreeCursor.scan_runs` for the consumer's contract)."""
+        runs = cursor.scan_runs_reverse if reverse else cursor.scan_runs
+        return runs(_flex_bound(lo), _flex_bound(hi), inclusive_lo, inclusive_hi)
 
     def __len__(self) -> int:
         return len(self.tree)
@@ -231,16 +240,16 @@ class NameIndex:
         reverse: bool = False,
     ) -> Iterator[tuple[FlexKey, NodeKind]]:
         """All keys for ``name`` within [lo, hi), forward or reverse."""
-        low, high = text_bounds(name, lo, hi)
-        scan = self.tree.scan_reverse if reverse else self.tree.scan
-        for (_name, key), kind in scan(low, high, inclusive_lo, False):
-            yield key, kind
+        return flatten_runs(
+            self.scan_runs(self.cursor(), name, lo, hi, inclusive_lo, reverse),
+            _run_flex_entries,
+        )
 
     def cursor(self) -> BTreeCursor:
         """A skip-ahead cursor over the name tree (see :class:`BTreeCursor`)."""
         return BTreeCursor(self.tree)
 
-    def scan_cursor(
+    def scan_runs(
         self,
         cursor: BTreeCursor,
         name: str,
@@ -248,12 +257,18 @@ class NameIndex:
         hi: "FlexKey | bytes | None" = None,
         inclusive_lo: bool = True,
         reverse: bool = False,
-    ) -> Iterator[tuple[FlexKey, NodeKind]]:
-        """:meth:`scan`, but positioned through ``cursor`` (leaf resume)."""
+    ) -> Iterator[tuple[list[tuple[str, FlexKey]], list[NodeKind]]]:
+        """:meth:`scan` a leaf at a time — ``(entry keys, kinds)`` slices,
+        each entry key a ``(name, FLEX key)`` pair — positioned through
+        ``cursor`` for leaf resume (see :meth:`BTreeCursor.scan_runs` for
+        the consumer's contract)."""
         low, high = text_bounds(name, lo, hi)
-        scan = cursor.scan_reverse if reverse else cursor.scan
-        for (_name, key), kind in scan(low, high, inclusive_lo, False):
-            yield key, kind
+        runs = cursor.scan_runs_reverse if reverse else cursor.scan_runs
+        return runs(low, high, inclusive_lo, False)
+
+    def kind_of(self, cursor: BTreeCursor, name: str, key: FlexKey) -> NodeKind | None:
+        """Point probe: the kind stored for ``(name, key)``, or None."""
+        return cursor.get(escape_text(name) + key.sort_bytes)
 
     def first(self, name: str, at_or_after: FlexKey | None = None) -> FlexKey | None:
         """Seek the first key for ``name`` at/after a FLEX key (or None)."""
@@ -312,9 +327,9 @@ class ValueIndex:
         reverse: bool = False,
     ) -> Iterator[tuple[FlexKey, NodeKind]]:
         low, high = text_bounds(value, lo, hi)
-        scan = self.tree.scan_reverse if reverse else self.tree.scan
-        for (_value, key), kind in scan(low, high, True, False):
-            yield key, kind
+        cursor = BTreeCursor(self.tree)
+        runs = cursor.scan_runs_reverse if reverse else cursor.scan_runs
+        return flatten_runs(runs(low, high, True, False), _run_flex_entries)
 
     def scan_value_range(
         self, low_value: str | None, high_value: str | None, inclusive: bool = True
@@ -333,6 +348,19 @@ class ValueIndex:
 
     def __len__(self) -> int:
         return len(self.tree)
+
+
+_FLEX_OF = itemgetter(1)
+
+
+def _run_values(_keys: list, values: Iterator) -> Iterator:
+    """A node-index run's entries: the records."""
+    return values
+
+
+def _run_flex_entries(keys: list[tuple], values: Iterator) -> Iterator[tuple]:
+    """A composite-index run's entries: ``(FLEX key, stored value)``."""
+    return zip(map(_FLEX_OF, keys), values)
 
 
 def _flex_bound(bound: "FlexKey | bytes | None") -> bytes | None:

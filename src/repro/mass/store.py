@@ -16,10 +16,11 @@ exposes exactly the operations the paper attributes to MASS:
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.errors import StorageError
-from repro.mass.axes import AxisHit, axis_count_upper, axis_iter
+from repro.mass.axes import AxisHit, ScanCursors, axis_count_upper, axis_iter
+from repro.mass.btree import BTreeCursor
 from repro.mass.flexkey import FlexKey
 from repro.mass.indexes import (
     NameIndex,
@@ -96,7 +97,11 @@ class MassStore:
         mutate the clone, then publish it atomically while readers keep
         the frozen original.
         """
-        records = list(self.node_index.scan(None, None))
+        records: list[NodeRecord] = []
+        for _keys, run in self.node_index.scan_runs(
+            self.node_index.cursor(), None, None
+        ):
+            records.extend(run)
         twin = MassStore(
             name=name or self.name,
             page_size=self.pages.page_size,
@@ -132,13 +137,45 @@ class MassStore:
 
     # -- node access ----------------------------------------------------------
 
-    def fetch(self, key: FlexKey) -> NodeRecord | None:
-        """Materialise one node record (counted as a data fetch)."""
-        self.metrics.record_fetches += 1
-        return self.node_index.get(key)
+    def fetch(
+        self, key: FlexKey, cursor: BTreeCursor | None = None
+    ) -> NodeRecord | None:
+        """Materialise one node record (counted as a data fetch).
 
-    def require(self, key: FlexKey) -> NodeRecord:
-        record = self.fetch(key)
+        Through a node-index ``cursor`` the look-up resumes from the
+        cursor's pinned leaf when the record is nearby, and leaves the
+        cursor pinned at it.
+        """
+        self.metrics.local_counters().record_fetches += 1
+        if cursor is None:
+            return self.node_index.get(key)
+        return self.node_index.get_cursor(cursor, key)
+
+    def fetch_run(
+        self, keys: Sequence[FlexKey], cursor: BTreeCursor | None = None
+    ) -> Iterator[NodeRecord]:
+        """:meth:`require` for every key in turn, one leaf at a time.
+
+        Document-ordered keys (a query result, an element's text nodes)
+        are a merge against the clustered node index, not independent
+        look-ups: see :meth:`BTreeCursor.get_run`.  ``record_fetches`` is
+        charged once, when the run ends, with the number of records the
+        consumer actually pulled — the same total as that many
+        :meth:`fetch` calls.  ``keys`` is walked twice (once by the
+        kernel), so it must be a sequence, not a one-shot iterator.
+        """
+        fetched = 0
+        try:
+            for key, record in zip(keys, self.node_index.get_run(keys, cursor)):
+                fetched += 1
+                if record is None:
+                    raise StorageError(f"no node with key {key.pretty()}")
+                yield record
+        finally:
+            self.metrics.local_counters().record_fetches += fetched
+
+    def require(self, key: FlexKey, cursor: BTreeCursor | None = None) -> NodeRecord:
+        record = self.fetch(key, cursor)
         if record is None:
             raise StorageError(f"no node with key {key.pretty()}")
         return record
@@ -164,7 +201,7 @@ class MassStore:
         to a run of nearby scans lets each resume from the previous one's
         pinned leaf instead of re-descending.
         """
-        self.metrics.axis_requests += 1
+        self.metrics.local_counters().axis_requests += 1
         return axis_iter(self, context, axis, test, cursors)
 
     def axis_records(
@@ -256,9 +293,17 @@ class MassStore:
 
     # -- content helpers ------------------------------------------------------------
 
-    def string_value(self, key: FlexKey) -> str:
-        """The XPath string-value of the node at ``key``."""
-        record = self.require(key)
+    def string_value(self, key: FlexKey, cursors: ScanCursors | None = None) -> str:
+        """The XPath string-value of the node at ``key``.
+
+        As with :meth:`axis`, passing one ``cursors`` to a run of nearby
+        calls (a predicate's candidates, a result's nodes) lets each
+        resume from the previous one's pinned leaves.
+        """
+        if cursors is None:
+            cursors = ScanCursors(self)
+        node_cursor = cursors.node_cursor()
+        record = self.require(key, node_cursor)
         if record.kind in (
             NodeKind.TEXT,
             NodeKind.ATTRIBUTE,
@@ -266,15 +311,22 @@ class MassStore:
             NodeKind.PROCESSING_INSTRUCTION,
         ):
             return record.value
-        pieces = []
-        for text_key, _kind in self.name_index.scan(
-            "#text",
-            lo=key,
-            hi=None if key.is_document() else key.subtree_upper_bound(),
-            inclusive_lo=False,
-        ):
-            pieces.append(self.require(text_key).value)
-        return "".join(pieces)
+        # The text nodes sit right behind their element in the clustered
+        # node index: one run, resumed from the element's own leaf.
+        text_keys = [
+            text_key
+            for entry_keys, _kinds in self.name_index.scan_runs(
+                cursors.name_cursor(),
+                "#text",
+                lo=key.sort_bytes,
+                hi=None if key.is_document() else key.subtree_upper_bound_bytes(),
+                inclusive_lo=False,
+            )
+            for _name, text_key in entry_keys
+        ]
+        return "".join(
+            [text.value for text in self.fetch_run(text_keys, node_cursor)]
+        )
 
     def serialize_subtree(self, key: FlexKey) -> str:
         """Re-emit the XML text of the subtree rooted at ``key``."""

@@ -44,10 +44,14 @@ def outcome_to_wire(outcome: QueryOutcome, max_labels: int = MAX_LABELS) -> dict
         "service_ms": round(outcome.service_s * 1000.0, 3),
     }
     if outcome.ok and outcome.result is not None:
-        labels = outcome.result.labels()
+        # Head only: echoing 32 labels must not materialise the result.
+        labels = outcome.result.labels(max_labels)
         response["count"] = len(outcome.result)
-        response["labels"] = labels[:max_labels]
-        response["truncated_labels"] = len(labels) > max_labels
+        response["labels"] = labels
+        # (A sharded count() outcome has one label whatever its length.)
+        response["truncated_labels"] = (
+            len(labels) >= max_labels and len(outcome.result) > max_labels
+        )
     else:
         response["count"] = 0
         response["error"] = outcome.error_type

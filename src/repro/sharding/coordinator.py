@@ -397,10 +397,16 @@ class ShardedOutcome:
     def keys(self) -> list[tuple[str, FlexKey]]:
         return [(doc, decode_sort_bytes(blob)) for doc, blob in self.rows]
 
-    def labels(self) -> list[str]:
+    def labels(self, limit: int | None = None) -> list[str]:
+        """Row labels; ``limit`` decodes only the first ``limit`` rows
+        (the :meth:`QueryResult.labels <repro.engine.result.QueryResult.labels>`
+        contract the wire front end relies on)."""
         if self.mode == "count":
             return [f"count() = {self.count:g}"]
-        return [f"{doc}:{decode_sort_bytes(blob).pretty()}" for doc, blob in self.rows]
+        return [
+            f"{doc}:{decode_sort_bytes(blob).pretty()}"
+            for doc, blob in self.rows[:limit]
+        ]
 
     @property
     def shards_contacted(self) -> int:

@@ -253,6 +253,26 @@ class TestEngineEquivalence:
             assert not any(isinstance(n, FusedPathScanNode) for n in plan.walk())
 
 
+class TestPageBudget:
+    def test_budget_smaller_than_the_sweep_trips_within_two_leaves(self):
+        """The fused sweep checkpoints once per leaf run, so a page budget
+        can be overshot by the leaf in hand and the next — no further."""
+        from repro.errors import BudgetExceededError
+
+        store = load_xml(generate_document(0.005, seed=42), name="fused-budget")
+        engine = VamanaEngine(store)
+        plan, _trace = engine.plan("//node()//text()")
+        assert any(isinstance(node, FusedPathScanNode) for node in plan.walk())
+        sweep = engine.evaluate("//node()//text()").metrics.logical_reads
+        limit = sweep // 3
+        with pytest.raises(BudgetExceededError) as excinfo:
+            engine.evaluate("//node()//text()", max_pages=limit)
+        assert excinfo.value.resource == "page-read"
+        assert limit < excinfo.value.used <= limit + 2
+        # ... and an abandoned sweep leaves the engine usable.
+        assert engine.evaluate("//node()//text()").metrics.logical_reads == sweep
+
+
 class TestMutationSafety:
     def test_insert_is_visible_to_the_next_fused_query(self, store):
         engine = VamanaEngine(store)

@@ -77,6 +77,27 @@ class TestQuery:
         assert main(["query", xml_file, "//*", "--limit", "1"]) == 0
         assert "more)" in capsys.readouterr().out
 
+    def test_query_limit_fetches_only_what_it_prints(self, tmp_path, capsys, monkeypatch):
+        import repro.cli as cli
+
+        xml_file = tmp_path / "wide.xml"
+        rows = "".join(f"<row><cell>c{index}</cell></row>" for index in range(400))
+        xml_file.write_text(f"<table>{rows}</table>", encoding="utf-8")
+        stores = []
+        load_any = cli._load_any
+
+        def capturing(path):
+            stores.append(load_any(path))
+            return stores[-1]
+
+        monkeypatch.setattr(cli, "_load_any", capturing)
+        assert main(["query", str(xml_file), "//node()//text()", "--limit", "5"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 6 and printed[-1].startswith("... (")
+        # //node()//text() is one fused scan: it fetches the context record,
+        # and the only other fetches are the five printed labels.
+        assert stores[0].metrics.record_fetches <= 1 + 5
+
     def test_bad_xpath_fails_cleanly(self, xml_file, capsys):
         assert main(["query", xml_file, "//person["]) == 1
         assert "error:" in capsys.readouterr().err

@@ -41,6 +41,15 @@ def vamana_ranks(vamana, xmark_store, query, optimize):
     return sorted(xmark_store.node_index.tree.rank(key.sort_bytes) for key in result.keys)
 
 
+def assert_materialises_like_dom(vamana, query, dom_nodes):
+    """The materialisation path has an oracle too: records come back in
+    ``keys`` order, and string-values equal the DOM's, node for node."""
+    result = vamana.evaluate(query)
+    assert [record.key for record in result.records()] == result.keys
+    in_document_order = sorted(dom_nodes, key=lambda node: node.order)
+    assert result.string_values() == [node.string_value() for node in in_document_order]
+
+
 FIXED_QUERIES = [
     # the paper's five benchmark queries
     "//person/address",
@@ -78,8 +87,10 @@ def test_all_engines_agree(vamana, dom_engine, pathjoin_engine, xmark_store, que
     expected = vamana_ranks(vamana, xmark_store, query, optimize=False)
     optimized = vamana_ranks(vamana, xmark_store, query, optimize=True)
     assert optimized == expected, "optimizer changed the result set"
-    dom_result = sorted(node.order for node in dom_engine.evaluate(query))
+    dom_nodes = dom_engine.evaluate(query)
+    dom_result = sorted(node.order for node in dom_nodes)
     assert dom_result == expected, "DOM engine disagrees"
+    assert_materialises_like_dom(vamana, query, dom_nodes)
     try:
         join_result = sorted(node.order for node in pathjoin_engine.evaluate(query))
     except UnsupportedFeatureError:
@@ -180,6 +191,8 @@ def tiny_setup():
 @settings(max_examples=120, deadline=None)
 def test_random_queries_agree_with_dom(tiny_setup, query):
     vamana, dom_engine, store = tiny_setup
-    expected = sorted(node.order for node in dom_engine.evaluate(query))
+    dom_nodes = dom_engine.evaluate(query)
+    expected = sorted(node.order for node in dom_nodes)
     assert vamana_ranks(vamana, store, query, optimize=False) == expected
     assert vamana_ranks(vamana, store, query, optimize=True) == expected
+    assert_materialises_like_dom(vamana, query, dom_nodes)

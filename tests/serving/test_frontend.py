@@ -49,6 +49,24 @@ class TestWireFormat:
         assert response["labels"] and not response["truncated_labels"]
         assert response["epoch"] == server.manager.current_epoch
 
+    def test_wire_labels_fetch_at_most_max_labels_records(self):
+        """Echoing 32 labels of a big result must not materialise it."""
+        from repro.serving.frontend import MAX_LABELS
+
+        rows = "".join(f"<row><cell>c{index}</cell></row>" for index in range(600))
+        store = load_xml(f"<table>{rows}</table>", name="wide")
+        with QueryServer(store, workers=1) as wide:
+            outcome = wide.evaluate("//node()//text()")
+            assert len(outcome.result) >= 600
+            snapshot = outcome.result.store
+            before = snapshot.metrics.totals()["record_fetches"]
+            response = outcome_to_wire(outcome)
+            fetched = snapshot.metrics.totals()["record_fetches"] - before
+        assert response["count"] == len(outcome.result)
+        assert len(response["labels"]) == MAX_LABELS
+        assert response["truncated_labels"] is True
+        assert fetched <= MAX_LABELS
+
     def test_error_outcome_carries_type_and_message(self, server):
         response = outcome_to_wire(server.evaluate("///"))
         assert not response["ok"]

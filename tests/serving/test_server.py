@@ -87,6 +87,33 @@ class TestUpdates:
                 assert len(pinned.engine.evaluate("//person")) == 3
             assert len(server.evaluate("//person").result) == 4
 
+    def test_records_of_an_old_result_survive_concurrent_publishes(self):
+        """A result materialised while a writer publishes keeps reading
+        its own frozen snapshot: the pre-update records, leaf by leaf."""
+        with make_server(workers=2) as server:
+            outcome = server.evaluate("//person/name")
+            live = outcome.result.records()
+            first = next(live)
+            stop = threading.Event()
+
+            def publisher():
+                index = 0
+                while not stop.is_set() and index < 20:
+                    server.apply_update(add_person(f"Eve{index}"))
+                    index += 1
+
+            writer = threading.Thread(target=publisher)
+            writer.start()
+            try:
+                rest = list(live)
+            finally:
+                stop.set()
+                writer.join()
+            names = [first] + rest
+            assert [record.key for record in names] == outcome.result.keys
+            assert outcome.result.string_values() == ["Ada", "Bob", "Cyd"]
+            assert len(server.evaluate("//person/name").result) > 3
+
     def test_update_failure_counted_and_raised(self):
         injector = FaultInjector(
             seed=3, rates={"writer.publish": 1.0}, max_failures=1
